@@ -5,7 +5,8 @@
 //! Measures, summed over the query set: partial-state bytes moved from
 //! sources to the executor, rows/bytes decoded into typed batches,
 //! batches run through vectorized predicate evaluation, LogBlocks
-//! visited, and modelled OSS time. Every configuration must return
+//! visited, and modelled OSS time (an `oss_like` latency model at
+//! `time_scale` 0: every request's cost is modelled, none is slept). Every configuration must return
 //! byte-identical results, and pushdown must move at least 10× fewer
 //! partial bytes than the row-transport plan — the acceptance bar.
 //! Emits `BENCH_query.json`.
@@ -96,7 +97,7 @@ fn main() {
     };
 
     println!("loading {} rows across {} tenants ...", knobs.params.rows, knobs.params.tenants);
-    let setup = build_engine(LatencyModel::zero(), &knobs.params);
+    let setup = build_engine(LatencyModel::oss_like(), &knobs.params);
 
     // The aggregation slice of the §6.3 template mix: grouped top-K,
     // whole-history COUNT, the wide ungrouped aggregate, and the
@@ -152,7 +153,9 @@ fn main() {
         no_skip.bytes_decoded
     );
 
-    let mut json = String::from("{\n  \"bench\": \"query_pushdown\",\n");
+    let mut json = String::from(
+        "{\n  \"bench\": \"query_pushdown\",\n  \"oss_model\": \"oss_like, time_scale 0\",\n",
+    );
     json.push_str(&format!(
         "  \"tenants\": {},\n  \"rows\": {},\n  \"queries\": {},\n  \
          \"partial_bytes_reduction\": {:.2},\n  \"configs\": [\n",

@@ -11,6 +11,7 @@ use logstore_oss::ObjectStore;
 use logstore_sync::OrderedMutex;
 use logstore_types::Result;
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Merges overlapping/adjacent `(offset, len)` ranges into a minimal sorted
 /// list (the dedup step of Fig 10).
@@ -45,6 +46,10 @@ pub struct PrefetchOutcome {
     /// The first failure, in block order, when any occurred.
     pub first_error: Option<logstore_types::Error>,
 }
+
+/// One source's share of a combined wave: the source and the ranges
+/// requested from it.
+pub type SourceRanges<'a, S> = (&'a CachedObjectSource<S>, Vec<(u64, u64)>);
 
 /// A prefetcher with a fixed parallelism degree.
 #[derive(Debug, Clone)]
@@ -91,47 +96,70 @@ impl Prefetcher {
         source: &CachedObjectSource<S>,
         ranges: Vec<(u64, u64)>,
     ) -> PrefetchOutcome {
-        // Merge request ranges, expand to aligned blocks, dedup blocks.
-        let mut blocks: BTreeSet<(u64, u64)> = BTreeSet::new();
-        for (offset, len) in merge_ranges(ranges) {
-            for b in source.aligned_blocks(offset, len) {
-                blocks.insert(b);
+        self.prefetch_waves(vec![(source, ranges)]).pop().unwrap_or_default()
+    }
+
+    /// Runs the waves of several sources as **one** wave: every source's
+    /// aligned blocks share the same `threads` fetchers, so a query with
+    /// many candidate LogBlocks pays one round of parallel GETs instead of
+    /// one per block. Returns one [`PrefetchOutcome`] per source, in input
+    /// order; each counts only its own source's blocks, exactly as a
+    /// [`Prefetcher::prefetch_wave`] of that source alone would.
+    pub fn prefetch_waves<S: ObjectStore>(
+        &self,
+        waves: Vec<SourceRanges<'_, S>>,
+    ) -> Vec<PrefetchOutcome> {
+        // Per source: merge request ranges, expand to aligned blocks,
+        // dedup blocks. The work list is (source, block index, block).
+        let (sources, ranges): (Vec<_>, Vec<_>) = waves.into_iter().unzip();
+        let mut work: Vec<(usize, usize, (u64, u64))> = Vec::new();
+        let mut totals = vec![0usize; sources.len()];
+        for (src, (source, ranges)) in sources.iter().zip(ranges).enumerate() {
+            let mut blocks: BTreeSet<(u64, u64)> = BTreeSet::new();
+            for (offset, len) in merge_ranges(ranges) {
+                blocks.extend(source.aligned_blocks(offset, len));
             }
+            totals[src] = blocks.len();
+            work.extend(blocks.into_iter().enumerate().map(|(idx, block)| (src, idx, block)));
         }
-        let work: Vec<(u64, u64)> = blocks.into_iter().collect();
-        let total = work.len();
-        if total == 0 {
-            return PrefetchOutcome::default();
-        }
-        let queue = OrderedMutex::new("cache.prefetch.queue", work.into_iter().enumerate());
-        // (block index, error) of the earliest failure, by block order —
-        // not completion order, so the report is deterministic.
-        let first_error: OrderedMutex<Option<(usize, logstore_types::Error)>> =
-            OrderedMutex::new("cache.prefetch.first_error", None);
-        let errors = std::sync::atomic::AtomicUsize::new(0);
+        let fetchers = self.threads.min(work.len());
+        let queue = OrderedMutex::new("cache.prefetch.queue", work.into_iter());
+        // Per source, (block index, error) of the earliest failure by
+        // block order — not completion order, so the report is
+        // deterministic.
+        let first_errors: OrderedMutex<Vec<Option<(usize, logstore_types::Error)>>> =
+            OrderedMutex::new("cache.prefetch.first_error", sources.iter().map(|_| None).collect());
+        let errors: Vec<AtomicUsize> = sources.iter().map(|_| AtomicUsize::new(0)).collect();
         std::thread::scope(|scope| {
-            for _ in 0..self.threads.min(total) {
+            for _ in 0..fetchers {
                 scope.spawn(|| loop {
                     // Pop under a transient guard; the block fetch below
                     // (an OSS GET) must run with no lock held.
                     let next = queue.lock().next();
-                    let Some((idx, (offset, len))) = next else { return };
-                    if let Err(e) = source.prefetch_block(offset, len) {
-                        errors.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let mut slot = first_error.lock();
-                        if slot.as_ref().is_none_or(|(held, _)| idx < *held) {
-                            *slot = Some((idx, e));
+                    let Some((src, idx, (offset, len))) = next else { return };
+                    if let Err(e) = sources[src].prefetch_block(offset, len) {
+                        errors[src].fetch_add(1, Ordering::Relaxed);
+                        let mut slots = first_errors.lock();
+                        if slots[src].as_ref().is_none_or(|(held, _)| idx < *held) {
+                            slots[src] = Some((idx, e));
                         }
                     }
                 });
             }
         });
-        let errors = errors.into_inner();
-        PrefetchOutcome {
-            fetched: total - errors,
-            errors,
-            first_error: first_error.into_inner().map(|(_, e)| e),
-        }
+        totals
+            .into_iter()
+            .zip(errors)
+            .zip(first_errors.into_inner())
+            .map(|((total, errors), first_error)| {
+                let errors = errors.into_inner();
+                PrefetchOutcome {
+                    fetched: total - errors,
+                    errors,
+                    first_error: first_error.map(|(_, e)| e),
+                }
+            })
+            .collect()
     }
 }
 
@@ -243,6 +271,52 @@ mod tests {
         store.inner().clear_faults();
         use logstore_logblock::pack::RangeSource;
         assert_eq!(src.read_at(0, 8 * 1024).unwrap(), vec![7u8; 8 * 1024]);
+    }
+
+    #[test]
+    fn combined_wave_attributes_errors_to_their_source() {
+        use logstore_oss::{FaultScope, FaultyStore};
+        let store = Arc::new(SimulatedOss::new(
+            FaultyStore::new(MemoryStore::new(), FaultScope::Reads, 0.0, 1),
+            LatencyModel::zero(),
+            1,
+        ));
+        let paths = ["a", "b", "c"];
+        for (i, path) in paths.iter().enumerate() {
+            store.inner().inner().put(path, &vec![i as u8; 16 * 1024]).unwrap();
+        }
+        let ranges = |i: usize| vec![(0, 4096 * (i as u64 + 2)), (100, 50)];
+        let outcomes = |combined: bool| -> Vec<(usize, usize, bool)> {
+            // A fresh cache and a restarted keyed schedule per run: both
+            // runs issue the same GETs and meet the same faults.
+            store.inner().set_keyed_faults(0.3, 5);
+            let cache = Arc::new(TieredCache::memory_only(1 << 20));
+            let sources: Vec<_> = paths
+                .iter()
+                .map(|path| {
+                    CachedObjectSource::open_with_known_size(
+                        Arc::clone(&store),
+                        *path,
+                        Arc::clone(&cache),
+                        1024,
+                        16 * 1024,
+                    )
+                })
+                .collect();
+            let waves: Vec<PrefetchOutcome> = if combined {
+                let waves = sources.iter().enumerate().map(|(i, s)| (s, ranges(i))).collect();
+                Prefetcher::new(4).prefetch_waves(waves)
+            } else {
+                let p = Prefetcher::new(1);
+                sources.iter().enumerate().map(|(i, s)| p.prefetch_wave(s, ranges(i))).collect()
+            };
+            waves.into_iter().map(|o| (o.fetched, o.errors, o.first_error.is_some())).collect()
+        };
+        let separate = outcomes(false);
+        assert_eq!(outcomes(true), separate, "each source keeps its own outcome");
+        assert_eq!(separate.iter().map(|o| o.0 + o.1).collect::<Vec<_>>(), vec![8, 12, 16]);
+        assert!(separate.iter().any(|o| o.1 > 0), "the schedule must fault something");
+        store.inner().set_keyed_faults(0.0, 5);
     }
 
     #[test]

@@ -122,6 +122,7 @@ pub struct MemoryBlockCache {
     // thread never holds two at once (the lock analysis would flag it).
     shards: Vec<OrderedMutex<SizedLru<BlockKey, Arc<Vec<u8>>>>>,
     mask: usize,
+    capacity_bytes: usize,
 }
 
 impl MemoryBlockCache {
@@ -140,12 +141,18 @@ impl MemoryBlockCache {
                 .map(|_| OrderedMutex::new("cache.memory.shard", SizedLru::new(budget)))
                 .collect(),
             mask: n - 1,
+            capacity_bytes: budget * n,
         }
     }
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
+    }
+
+    /// Total byte budget across all shards.
+    pub fn capacity_bytes(&self) -> usize {
+        self.capacity_bytes
     }
 
     /// Looks up a block.
@@ -342,6 +349,11 @@ impl TieredCache {
     /// Number of memory-tier shards.
     pub fn shard_count(&self) -> usize {
         self.memory.shard_count()
+    }
+
+    /// The memory tier's byte budget.
+    pub fn memory_capacity_bytes(&self) -> usize {
+        self.memory.capacity_bytes()
     }
 
     /// Fetches a block through the tiers, calling `fetch` only on a full

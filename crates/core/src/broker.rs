@@ -6,18 +6,28 @@
 //! on OSS — applying the LogBlock map (Fig 8 ①), data skipping, the
 //! multi-level cache and parallel prefetch along the way.
 //!
-//! Queries scatter: every source (one real-time shard scan, one LogBlock
-//! open→prefetch→collect chain) becomes an independent task on the
-//! engine's shared [`crate::executor::QueryPool`]. Determinism rule: the
-//! task list is built in canonical order (shards sorted by id, then
-//! LogBlocks sorted by path) and the gathered partials are folded in that
-//! same order, so results, stats and first-error selection are
-//! bit-identical at every `parallelism` setting.
+//! Archived LogBlocks run in two stages. The **I/O stage** opens every
+//! candidate block of a window (footer and meta: one OSS round trip each)
+//! on scoped fetchers, then fetches all of their plan-aware member ranges
+//! as one prefetch wave. The **CPU stage** decodes
+//! the staged blocks: every source (one real-time shard scan, one staged
+//! LogBlock's collection) becomes an independent task on the engine's
+//! shared [`crate::executor::QueryPool`], whose threads therefore never
+//! sleep on OSS. Windows are consecutive runs of candidates whose packed
+//! bytes fit a quarter of the memory cache, so a query never evicts its
+//! own prefetched data before decoding it.
+//!
+//! Determinism rule: sources are staged and scattered in canonical order
+//! (shards sorted by id, then LogBlocks sorted by path) and the gathered
+//! partials are folded in that same order, so results, stats and
+//! first-error selection are bit-identical at every `parallelism` setting.
 
 use crate::config::QueryOptions;
 use crate::engine::{ClusterShared, IngestReport, Store};
-use crate::executor::Task;
-use logstore_cache::{CacheStats, CachedObjectSource};
+use crate::executor::{fan_out, Task};
+use crate::hooks::QueryPoint;
+use crate::metadata::LogBlockEntry;
+use logstore_cache::{CacheStats, CachedObjectSource, Prefetcher};
 use logstore_logblock::pack::RangeSource;
 use logstore_logblock::reader::LogBlockReader;
 use logstore_logblock::scan::DecodeStats;
@@ -238,104 +248,58 @@ impl Broker {
         opts: &QueryOptions,
     ) -> Result<(QueryResult, QueryStats, u64, ExecutionCounters)> {
         let all_blocks = self.shared.metadata.all_blocks(tenant).len() as u64;
-
-        // Scatter: one task per source, in canonical order.
-        let mut tasks: Vec<Task<SourcePartial>> = Vec::new();
-        if !scope.is_empty_window() {
-            // Real-time stores of every shard serving the tenant (old and
-            // new routes during a rebalance window), sorted by shard id.
-            let mut shards = self.shared.controller.read_shards(tenant);
-            shards.sort_unstable();
-            for shard in shards {
-                let shared = Arc::clone(&self.shared);
-                let plan = Arc::clone(plan);
-                let range = scope.range;
-                tasks.push(Box::new(move || {
-                    let mut stats = QueryStats::default();
-                    let worker = shared.worker_for(shard)?;
-                    // Stream records through the plan's collector: with
-                    // pushdown the shard returns aggregate states, and an
-                    // unordered LIMIT stops the walk early.
-                    let mut collector = RowCollector::new(&plan, &shared.schema)?;
-                    worker.for_each_record(shard, tenant, range, |r| collector.push_record(r))?;
-                    let partial = collector.finish(&mut stats);
-                    Ok((partial, stats, DecodeStats::default()))
-                }));
-            }
-            // Archived LogBlocks, pruned by the LogBlock map, sorted by
-            // object path (paths embed the build sequence, so this is
-            // registration order).
-            let mut entries = self.shared.metadata.blocks_for(tenant, scope.range);
-            entries.sort_unstable_by(|a, b| a.path.cmp(&b.path));
-            for entry in entries {
-                let shared = Arc::clone(&self.shared);
-                let plan = Arc::clone(plan);
-                let opts = opts.clone();
-                tasks.push(Box::new(move || {
-                    let mut stats = QueryStats::default();
-                    let mut decode = DecodeStats::default();
-                    let path = entry.path.clone();
-                    let scan = (|| {
-                        // The LogBlock map records each block's exact packed
-                        // size, so opening a source needs no HEAD round-trip.
-                        let source = if opts.use_cache {
-                            Source::Cached(CachedObjectSource::open_with_known_size(
-                                Arc::clone(&shared.store),
-                                entry.path.clone(),
-                                Arc::clone(&shared.cache),
-                                shared.cache_block_size,
-                                entry.bytes,
-                            ))
-                        } else {
-                            Source::Direct(DirectSource::new(
-                                Arc::clone(&shared.store),
-                                entry.path.clone(),
-                                entry.bytes,
-                            ))
-                        };
-                        let reader = LogBlockReader::open(source)?;
-                        if opts.use_cache && opts.use_prefetch {
-                            // A failed prefetch block is not fatal: it is
-                            // counted, and the scan falls through to demand
-                            // reads (which may themselves succeed or fail on
-                            // their own terms).
-                            if let Source::Cached(cached) = reader.pack().source() {
-                                let ranges = prefetch_ranges(&reader, &plan);
-                                let outcome = shared.prefetcher.prefetch_wave(cached, ranges);
-                                stats.prefetch_errors += outcome.errors as u64;
-                            }
-                        }
-                        plan.collect_block(&reader, opts.use_skipping, &mut stats, &mut decode)
-                    })();
-                    match scan {
-                        Ok(partial) => Ok((partial, stats, decode)),
-                        // A vanished object that the map no longer claims
-                        // was expired or compacted away mid-query: report
-                        // it as stale metadata so the broker replans,
-                        // instead of leaking a raw OSS NotFound.
-                        Err(Error::NotFound(_))
-                            if !shared.metadata.is_block_mapped(tenant, &path) =>
-                        {
-                            Err(Error::Stale(format!("LogBlock {path} removed mid-query")))
-                        }
-                        Err(e) => Err(e),
-                    }
-                }));
-            }
-        }
-
-        // Gather: fold results in submission order. The earliest source's
-        // error wins regardless of which task failed first on the clock.
         let parallelism =
             if opts.parallelism == 0 { self.shared.query_pool.threads() } else { opts.parallelism };
+
+        // Sources in canonical order: the real-time stores of every shard
+        // serving the tenant (old and new routes during a rebalance
+        // window) sorted by shard id, then the archived LogBlocks pruned
+        // by the LogBlock map, sorted by object path (paths embed the
+        // build sequence, so this is registration order).
+        let mut shards = Vec::new();
+        let mut entries = Vec::new();
+        if !scope.is_empty_window() {
+            shards = self.shared.controller.read_shards(tenant);
+            shards.sort_unstable();
+            entries = self.shared.metadata.blocks_for(tenant, scope.range);
+            entries.sort_unstable_by(|a, b| a.path.cmp(&b.path));
+        }
+        self.shared.hooks.query_reached(QueryPoint::MapSnapshotted);
+        // The real-time scans ride along with the first window's scatter.
+        let mut tasks: Vec<Task<SourcePartial>> = shards
+            .into_iter()
+            .map(|shard| self.realtime_task(shard, tenant, plan, scope))
+            .collect();
+
+        // Per window: stage its blocks' I/O, then scatter the CPU tasks
+        // and fold the results in submission order. The earliest source's
+        // error wins regardless of which task failed first on the clock,
+        // so a failed window ends the attempt before the next one's I/O.
+        let window_budget =
+            (self.shared.cache.memory_capacity_bytes() / STAGE_WINDOW_CACHE_FRACTION) as u64;
         let mut stats = QueryStats::default();
         let mut counters = ExecutionCounters::default();
-        let mut partials = Vec::with_capacity(tasks.len());
-        for task_result in self.shared.query_pool.scatter(parallelism, tasks) {
-            let (partial, task_stats, decode) = task_result?;
-            stats.merge(&task_stats);
-            counters.absorb(&decode, &partial);
-            partials.push(partial);
+        let mut partials = Vec::with_capacity(tasks.len() + entries.len());
+        let mut rest = entries.as_slice();
+        loop {
+            let (window, tail) = rest.split_at(window_len(rest, window_budget));
+            rest = tail;
+            let staged = self.stage_io(window, plan, opts, tenant, parallelism);
+            self.shared.hooks.query_reached(QueryPoint::WindowStaged);
+            for (entry, block) in window.iter().zip(staged) {
+                tasks.push(self.collect_task(entry, block, plan, opts, tenant));
+            }
+            for task_result in
+                self.shared.query_pool.scatter(parallelism, std::mem::take(&mut tasks))
+            {
+                let (partial, task_stats, decode) = task_result?;
+                stats.merge(&task_stats);
+                counters.absorb(&decode, &partial);
+                partials.push(partial);
+            }
+            if rest.is_empty() {
+                break;
+            }
         }
 
         // `finish_partial` runs the deferred aggregation of the
@@ -349,11 +313,175 @@ impl Broker {
         let result = finalize(merged, bound, &self.shared.schema)?;
         Ok((result, stats, all_blocks, counters))
     }
+
+    /// The CPU task scanning one shard's real-time store.
+    fn realtime_task(
+        &self,
+        shard: ShardId,
+        tenant: logstore_types::TenantId,
+        plan: &Arc<ScanPlan>,
+        scope: &QueryScope,
+    ) -> Task<SourcePartial> {
+        let shared = Arc::clone(&self.shared);
+        let plan = Arc::clone(plan);
+        let range = scope.range;
+        Box::new(move || {
+            let mut stats = QueryStats::default();
+            let worker = shared.worker_for(shard)?;
+            // Stream records through the plan's collector: with pushdown
+            // the shard returns aggregate states, and an unordered LIMIT
+            // stops the walk early.
+            let mut collector = RowCollector::new(&plan, &shared.schema)?;
+            worker.for_each_record(shard, tenant, range, |r| collector.push_record(r))?;
+            let partial = collector.finish(&mut stats);
+            Ok((partial, stats, DecodeStats::default()))
+        })
+    }
+
+    /// The I/O stage of one window, results in window order. Opens every
+    /// block (inline on the caller when `parallelism <= 1`), then, with
+    /// cache and prefetch on, fetches all of the opened blocks' plan ranges
+    /// as one prefetch wave. Both steps run on up to `parallelism ×
+    /// prefetch_threads` scoped fetchers — `parallelism` waves' worth of
+    /// GETs in flight, pooled across the window, so a query with many
+    /// blocks is not held to one wave's width. A failed prefetch block is
+    /// not fatal: it is counted against its own LogBlock, whose scan falls
+    /// through to demand reads (which may themselves succeed or fail on
+    /// their own terms).
+    fn stage_io(
+        &self,
+        window: &[LogBlockEntry],
+        plan: &ScanPlan,
+        opts: &QueryOptions,
+        tenant: logstore_types::TenantId,
+        parallelism: usize,
+    ) -> Vec<Result<StagedBlock>> {
+        let shared = &self.shared;
+        let fetchers = Prefetcher::new(shared.prefetcher.threads() * parallelism.max(1));
+        let openers = if parallelism <= 1 { 1 } else { fetchers.threads() };
+        let opened = fan_out(openers, window, |entry| {
+            // The LogBlock map records each block's exact packed size, so
+            // opening a source needs no HEAD round-trip.
+            let source = if opts.use_cache {
+                Source::Cached(CachedObjectSource::open_with_known_size(
+                    Arc::clone(&shared.store),
+                    entry.path.clone(),
+                    Arc::clone(&shared.cache),
+                    shared.cache_block_size,
+                    entry.bytes,
+                ))
+            } else {
+                Source::Direct(DirectSource::new(
+                    Arc::clone(&shared.store),
+                    entry.path.clone(),
+                    entry.bytes,
+                ))
+            };
+            LogBlockReader::open(source)
+        });
+        let mut prefetch_errors = vec![0u64; window.len()];
+        if opts.use_cache && opts.use_prefetch {
+            let mut owners = Vec::new();
+            let mut waves = Vec::new();
+            for (idx, reader) in opened.iter().enumerate() {
+                if let Ok(reader) = reader {
+                    if let Source::Cached(cached) = reader.pack().source() {
+                        owners.push(idx);
+                        waves.push((cached, prefetch_ranges(reader, plan)));
+                    }
+                }
+            }
+            for (idx, outcome) in owners.into_iter().zip(fetchers.prefetch_waves(waves)) {
+                prefetch_errors[idx] = outcome.errors as u64;
+            }
+        }
+        opened
+            .into_iter()
+            .zip(prefetch_errors)
+            .zip(window)
+            .map(|((reader, prefetch_errors), entry)| match reader {
+                Ok(reader) => Ok(StagedBlock { reader, prefetch_errors }),
+                Err(e) => Err(stale_if_unmapped(shared, tenant, &entry.path, e)),
+            })
+            .collect()
+    }
+
+    /// The CPU task decoding one staged LogBlock (or reporting its I/O
+    /// stage failure at the block's canonical position).
+    fn collect_task(
+        &self,
+        entry: &LogBlockEntry,
+        block: Result<StagedBlock>,
+        plan: &Arc<ScanPlan>,
+        opts: &QueryOptions,
+        tenant: logstore_types::TenantId,
+    ) -> Task<SourcePartial> {
+        let shared = Arc::clone(&self.shared);
+        let plan = Arc::clone(plan);
+        let path = entry.path.clone();
+        let use_skipping = opts.use_skipping;
+        Box::new(move || {
+            let block = block?;
+            let mut stats =
+                QueryStats { prefetch_errors: block.prefetch_errors, ..QueryStats::default() };
+            let mut decode = DecodeStats::default();
+            match plan.collect_block(&block.reader, use_skipping, &mut stats, &mut decode) {
+                Ok(partial) => Ok((partial, stats, decode)),
+                Err(e) => Err(stale_if_unmapped(&shared, tenant, &path, e)),
+            }
+        })
+    }
+}
+
+/// A LogBlock after the I/O stage: opened, and with cache and prefetch on,
+/// its plan's member ranges fetched into the cache.
+struct StagedBlock {
+    reader: LogBlockReader<Source>,
+    /// Aligned cache blocks of this LogBlock whose prefetch failed.
+    prefetch_errors: u64,
+}
+
+/// The share of the memory cache one I/O-stage window may plan to read:
+/// a quarter, so the window's prefetched data survives until its CPU
+/// stage decodes it while concurrent queries use the rest.
+const STAGE_WINDOW_CACHE_FRACTION: usize = 4;
+
+/// Length of the next I/O-stage window: the longest prefix of `entries`
+/// whose packed sizes (an upper bound on what staging a block can pull
+/// into the cache) sum to at most `budget` — but at least one block, so a
+/// block larger than the budget is staged alone.
+fn window_len(entries: &[LogBlockEntry], budget: u64) -> usize {
+    let mut planned = 0u64;
+    let fits = entries
+        .iter()
+        .position(|entry| {
+            planned = planned.saturating_add(entry.bytes);
+            planned > budget
+        })
+        .unwrap_or(entries.len());
+    fits.max(1).min(entries.len())
+}
+
+/// A vanished object that the map no longer claims was expired or
+/// compacted away mid-query: report it as stale metadata so the broker
+/// replans, instead of leaking a raw OSS `NotFound`. Applied to errors of
+/// both stages.
+fn stale_if_unmapped(
+    shared: &ClusterShared,
+    tenant: logstore_types::TenantId,
+    path: &str,
+    e: Error,
+) -> Error {
+    match e {
+        Error::NotFound(_) if !shared.metadata.is_block_mapped(tenant, path) => {
+            Error::Stale(format!("LogBlock {path} removed mid-query"))
+        }
+        e => e,
+    }
 }
 
 /// Fig 10: the member ranges a query will touch in one LogBlock — the
-/// plan for a parallel prefetch wave. Free function so scattered tasks
-/// can call it without borrowing the broker. Plan-aware: only the
+/// plan for a parallel prefetch wave. Plan-aware: only the
 /// predicate columns and the plan's materialization set are fetched, so a
 /// pure `COUNT(*)` prefetches predicate columns alone.
 fn prefetch_ranges(reader: &LogBlockReader<Source>, plan: &ScanPlan) -> Vec<(u64, u64)> {

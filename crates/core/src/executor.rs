@@ -1,6 +1,7 @@
 //! The scatter/gather query executor: a shared, bounded worker pool that
-//! fans a query's per-source work (real-time shard scans, LogBlock
-//! open→prefetch→collect chains) out across threads.
+//! fans a query's per-source CPU work (real-time shard scans, LogBlock
+//! collection) out across threads, plus [`fan_out`], the scoped fetcher
+//! fan-out that runs a query's LogBlock opens off the pool.
 //!
 //! Determinism is the design constraint: a parallel run must be
 //! bit-identical to the sequential one. The pool therefore never merges
@@ -152,9 +153,52 @@ impl Drop for QueryPool {
     }
 }
 
+/// Runs `f` over every item on up to `threads` scoped threads and returns
+/// the results **in item order**. `threads <= 1` (or a single item) runs
+/// inline on the caller. Unlike [`QueryPool::scatter`] the closures may
+/// borrow, and the threads exist only for this call: the broker's
+/// LogBlock I/O stage uses it so that threads blocked on OSS round trips
+/// never occupy the shared query pool.
+pub fn fan_out<I: Sync, T: Send>(
+    threads: usize,
+    items: &[I],
+    f: impl Fn(&I) -> Result<T> + Sync,
+) -> Vec<Result<T>> {
+    if threads <= 1 || items.len() <= 1 {
+        return items.iter().map(|item| run_task(|| f(item))).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let mut results: Vec<Option<Result<T>>> = items.iter().map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let fetchers: Vec<_> = (0..threads.min(items.len()))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(idx) else { return done };
+                        done.push((idx, run_task(|| f(item))));
+                    }
+                })
+            })
+            .collect();
+        for fetcher in fetchers {
+            // `run_task` already caught every panic, so a join error
+            // cannot happen; the fill below covers it regardless.
+            for (idx, result) in fetcher.join().unwrap_or_default() {
+                results[idx] = Some(result);
+            }
+        }
+    });
+    results
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|| Err(Error::Internal("I/O fan-out lost a result".into()))))
+        .collect()
+}
+
 /// Runs one task, converting a panic into an error instead of poisoning
 /// the pool (a panicking task would otherwise hang the gather loop).
-fn run_task<T>(task: Task<T>) -> Result<T> {
+fn run_task<T>(task: impl FnOnce() -> Result<T>) -> Result<T> {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)) {
         Ok(result) => result,
         Err(panic) => {

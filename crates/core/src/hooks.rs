@@ -9,6 +9,10 @@
 //! injection, no cfg gates: the production default costs one virtual call
 //! per point.
 //!
+//! Query attempts report [`QueryPoint`]s through the same object, so a
+//! test can delete a planned LogBlock at an exact point between the map
+//! snapshot and the block's decode instead of racing threads for it.
+//!
 //! Every hook site sits **outside** lock scopes, so an unwind never leaves
 //! a poisoned or held lock behind (locks are parking_lot, which recovers
 //! regardless, but hooks-outside-locks keeps the reopened engine's
@@ -73,7 +77,19 @@ impl CrashPoint {
     ];
 }
 
-/// Injectable observer of archive-pipeline crash points.
+/// Points in one query attempt where the LogBlock map may have moved on
+/// from the attempt's snapshot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum QueryPoint {
+    /// The attempt snapshotted the LogBlock map; no candidate block has
+    /// been opened yet.
+    MapSnapshotted,
+    /// One window's I/O stage finished (blocks opened and prefetched); its
+    /// CPU stage has not started decoding them.
+    WindowStaged,
+}
+
+/// Injectable observer of archive-pipeline crash points and query points.
 pub trait CrashHooks: Send + Sync {
     /// Called when execution reaches `point`. A simulation implementation
     /// may panic with a [`SimCrash`] payload to abort the episode here;
@@ -81,6 +97,11 @@ pub trait CrashHooks: Send + Sync {
     fn reached(&self, point: CrashPoint) {
         let _ = point;
     }
+
+    /// Called when a query attempt reaches `point`. Tests use it to
+    /// expire, compact or GC at exactly that point; the default does
+    /// nothing.
+    fn query_reached(&self, _point: QueryPoint) {}
 }
 
 /// The production hooks: every point is a no-op.

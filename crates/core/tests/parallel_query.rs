@@ -7,6 +7,8 @@
 use logstore_core::{ClusterConfig, LogStore, QueryOptions};
 use logstore_oss::LatencyModel;
 use logstore_types::{LogRecord, TenantId, Timestamp, Value};
+use logstore_workload::{queries::tenant_queries, LogRecordGenerator, WorkloadSpec};
+use rand::{rngs::StdRng, SeedableRng};
 
 fn rec(t: u64, ts: i64, latency: i64, msg: &str) -> LogRecord {
     LogRecord::new(
@@ -241,5 +243,185 @@ fn scatter_speedup_scales_with_parallelism() {
          parallel {:?} vs sequential {:?}",
         parallel.wall,
         sequential.wall
+    );
+}
+
+/// A store shaped like the §6.3 evaluation: a Zipfian history over four
+/// tenants loaded in eight flush cycles (so the head tenant spans eight
+/// LogBlocks) plus an unflushed tail, and the eight §6.3 query templates
+/// for the two largest tenants.
+fn section_6_3_store(mut config: ClusterConfig) -> (LogStore, Vec<String>) {
+    config.query_threads = 8;
+    let s = LogStore::open(config).unwrap();
+    let (start, end) = (Timestamp(0), Timestamp(48 * 3_600_000));
+    let history =
+        LogRecordGenerator::new(7).history(&WorkloadSpec::new(4, 0.99), 6_000, start, end);
+    let chunks: Vec<&[LogRecord]> = history.chunks(history.len() / 9).collect();
+    for (i, chunk) in chunks.iter().enumerate() {
+        s.ingest(chunk.to_vec()).unwrap();
+        if i < 8 {
+            s.flush().unwrap();
+        }
+    }
+    let queries = [1u64, 2]
+        .into_iter()
+        .flat_map(|t| tenant_queries(TenantId(t), start, end, &mut StdRng::seed_from_u64(t)))
+        .collect();
+    (s, queries)
+}
+
+#[test]
+fn staged_path_matches_sequential_and_baseline_on_section_6_3_shapes() {
+    let mut config = ClusterConfig::for_testing();
+    config.cache_block_size = 2048;
+    let (s, queries) = section_6_3_store(config);
+    let mut widest = 0;
+    for sql in &queries {
+        let baseline = s.query_with_options(sql, &QueryOptions::baseline()).unwrap();
+        for opts in [QueryOptions::default(), QueryOptions::baseline()] {
+            s.clear_cache();
+            let sequential = s.query_with_options(sql, &opts.clone().with_parallelism(1)).unwrap();
+            assert_eq!(sequential.result, baseline.result, "{sql:?} with {opts:?}");
+            widest = widest.max(sequential.stats.blocks_visited);
+            for parallelism in [2usize, 4, 8] {
+                s.clear_cache();
+                let staged =
+                    s.query_with_options(sql, &opts.clone().with_parallelism(parallelism)).unwrap();
+                assert_eq!(
+                    staged.result, baseline.result,
+                    "rows diverged at parallelism {parallelism} for {sql:?} with {opts:?}"
+                );
+                assert_eq!(
+                    staged.stats, sequential.stats,
+                    "stats diverged at parallelism {parallelism} for {sql:?} with {opts:?}"
+                );
+            }
+        }
+    }
+    assert!(widest >= 8, "the head tenant's full-history queries must stage 8 blocks: {widest}");
+}
+
+#[test]
+fn staged_path_attributes_prefetch_faults_like_sequential() {
+    // Keyed faults fail the same requests whatever order they arrive in,
+    // so with a cold cache and a restarted schedule the staged path must
+    // meet exactly the sequential path's faults — the same queries fail
+    // with the same error, the rest count the same prefetch errors (each
+    // against its own block) and return the fault-free rows.
+    let mut config = ClusterConfig::for_testing();
+    config.cache_block_size = 1024;
+    let (s, queries) = section_6_3_store(config);
+    let run = |sql: &str, parallelism: usize| {
+        s.clear_cache();
+        s.shared().fault_layer().set_keyed_faults(0.03, 42);
+        s.query_with_options(sql, &QueryOptions::default().with_parallelism(parallelism))
+            .map(|exec| (exec.result, exec.stats))
+            .map_err(|e| e.to_string())
+    };
+    let (mut prefetch_errors, mut failed, mut whole) = (0, 0, 0);
+    for sql in &queries {
+        let sequential = run(sql, 1);
+        for parallelism in [2usize, 4, 8] {
+            assert_eq!(run(sql, parallelism), sequential, "parallelism {parallelism}: {sql:?}");
+        }
+        s.shared().fault_layer().set_keyed_faults(0.0, 0);
+        match sequential {
+            Ok((result, stats)) => {
+                let clean = s.query_with_options(sql, &QueryOptions::baseline()).unwrap();
+                assert_eq!(result, clean.result, "a degraded wave must not change rows: {sql:?}");
+                prefetch_errors += stats.prefetch_errors;
+                whole += 1;
+            }
+            Err(e) => {
+                assert!(e.contains("injected oss fault"), "unexpected error: {e}");
+                failed += 1;
+            }
+        }
+    }
+    assert!(prefetch_errors > 0 && whole > 0, "no query survived a faulted prefetch wave");
+    assert!(failed + whole == queries.len());
+}
+
+#[test]
+fn staged_io_overlaps_round_trips_across_blocks() {
+    // A sleeping OSS-like model: every GET costs one round trip. Chained
+    // per block, 16 cold blocks at parallelism 2 would take at least 16
+    // round trips (open then prefetch, 8 blocks deep); the staged path
+    // opens all of them at once (2 × 8 fetchers) and prefetches them as
+    // one wave.
+    const BLOCKS: usize = 16;
+    const SCALE: f64 = 0.4;
+    let model = LatencyModel::oss_like().with_time_scale(SCALE);
+    // The fastest a jittered round trip can be.
+    let round_trip = std::time::Duration::from_micros(model.base_latency_us)
+        .mul_f64(SCALE * (1.0 - model.jitter));
+    let mut config = ClusterConfig::for_testing();
+    config.cache_block_size = 2048;
+    config.prefetch_threads = 8;
+    config.oss_latency = model;
+    let s = build_store(config, BLOCKS, 48);
+    assert!(s.block_count() >= BLOCKS);
+
+    let sql = "SELECT log FROM request_log WHERE tenant_id = 1";
+    s.clear_cache();
+    let sequential =
+        s.query_with_options(sql, &QueryOptions::default().with_parallelism(1)).unwrap();
+    s.clear_cache();
+    let staged = s.query_with_options(sql, &QueryOptions::default().with_parallelism(2)).unwrap();
+
+    assert_eq!(staged.result, sequential.result);
+    assert_eq!(staged.stats, sequential.stats);
+    assert!(
+        sequential.wall >= round_trip * BLOCKS as u32,
+        "the sequential path opens one block per round trip: {:?}",
+        sequential.wall
+    );
+    assert!(
+        staged.wall < round_trip * (BLOCKS / 2) as u32,
+        "2-way staged I/O should take a few round trips, not one per block: \
+         staged {:?} vs sequential {:?} (round trip >= {round_trip:?})",
+        staged.wall,
+        sequential.wall
+    );
+}
+
+#[test]
+fn staging_window_prevents_self_eviction() {
+    // The query's prefetch plan is larger than the whole memory cache.
+    // Staged in quarter-cache windows, no prefetched block is evicted
+    // before it is decoded: the parallel run issues no more origin GETs
+    // than the sequential one, nor than the same query over a cache big
+    // enough to hold everything.
+    let sql = "SELECT log, latency FROM request_log WHERE tenant_id = 1";
+    let cold_gets = |cache_memory_bytes: usize, parallelism: usize| {
+        let mut config = ClusterConfig::for_testing();
+        config.cache_block_size = 1024;
+        config.cache_shards = 1;
+        config.cache_memory_bytes = cache_memory_bytes;
+        let s = build_store(config, 8, 400);
+        let before = s.oss_metrics().get_requests;
+        let exec = s
+            .query_with_options(sql, &QueryOptions::default().with_parallelism(parallelism))
+            .unwrap();
+        (s.oss_metrics().get_requests - before, exec)
+    };
+    const SMALL: usize = 64 << 10;
+    let (roomy_gets, roomy) = cold_gets(64 << 20, 8);
+    assert!(
+        roomy.cache.bytes_from_origin > SMALL as u64,
+        "the query must plan more bytes than the small cache holds: {}",
+        roomy.cache.bytes_from_origin
+    );
+    let (sequential_gets, sequential) = cold_gets(SMALL, 1);
+    let (staged_gets, staged) = cold_gets(SMALL, 8);
+    assert_eq!(staged.result, roomy.result);
+    assert_eq!(staged.result, sequential.result);
+    assert!(
+        staged_gets <= sequential_gets,
+        "staged {staged_gets} GETs vs sequential {sequential_gets}"
+    );
+    assert!(
+        staged_gets <= roomy_gets,
+        "a self-evicting stage re-reads: {staged_gets} GETs vs {roomy_gets} with a roomy cache"
     );
 }

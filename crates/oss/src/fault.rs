@@ -14,7 +14,11 @@
 //! * **op-indexed** — [`FaultyStore::fail_ops`] fails exact in-scope
 //!   operation indexes (half-open ranges over the lifetime op counter),
 //!   letting a simulation schedule say "ops 17..19 of this episode fail"
-//!   and replay it exactly.
+//!   and replay it exactly;
+//! * **keyed** — [`FaultyStore::set_keyed_faults`] fails each in-scope op
+//!   with a probability decided by a seeded hash of the request itself,
+//!   so concurrent requests fail the same way in whatever order they
+//!   arrive.
 //!
 //! Scope, probability and the op schedule are runtime-mutable so a
 //! long-lived engine can move through fault windows mid-episode.
@@ -24,6 +28,8 @@ use logstore_sync::OrderedMutex;
 use logstore_types::{Error, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -48,11 +54,35 @@ struct FaultPlan {
     fail_ops: Vec<Range<u64>>,
 }
 
+/// The keyed schedule: see [`FaultyStore::set_keyed_faults`].
+#[derive(Debug, Default)]
+struct KeyedFaults {
+    probability: f64,
+    seed: u64,
+    /// Per request key, how many identical requests came before — a
+    /// retried request draws afresh instead of repeating its verdict.
+    seen: HashMap<(&'static str, String, u64, u64), u64>,
+}
+
+impl KeyedFaults {
+    fn draw(&mut self, op: &'static str, path: &str, offset: u64, len: u64) -> bool {
+        if self.probability <= 0.0 {
+            return false;
+        }
+        let seen = self.seen.entry((op, path.to_string(), offset, len)).or_insert(0);
+        let mut h = DefaultHasher::new();
+        (self.seed, op, path, offset, len, *seen).hash(&mut h);
+        *seen += 1;
+        (h.finish() as f64) < self.probability * u64::MAX as f64
+    }
+}
+
 /// An [`ObjectStore`] decorator that fails operations on a schedule.
 pub struct FaultyStore<S> {
     inner: S,
     plan: OrderedMutex<FaultPlan>,
     rng: OrderedMutex<StdRng>,
+    keyed: OrderedMutex<KeyedFaults>,
     /// Fail the next N in-scope operations unconditionally.
     fail_next: AtomicU64,
     /// Lifetime count of in-scope operations (the index space of
@@ -73,6 +103,7 @@ impl<S: ObjectStore> FaultyStore<S> {
                 FaultPlan { scope, probability, fail_ops: Vec::new() },
             ),
             rng: OrderedMutex::new("oss.fault.rng", StdRng::seed_from_u64(seed)),
+            keyed: OrderedMutex::new("oss.fault.keyed", KeyedFaults::default()),
             fail_next: AtomicU64::new(0),
             ops: AtomicU64::new(0),
             injected: AtomicU64::new(0),
@@ -94,6 +125,18 @@ impl<S: ObjectStore> FaultyStore<S> {
     /// Sets the probability applied to in-scope ops from now on.
     pub fn set_probability(&self, probability: f64) {
         self.plan.lock().probability = probability;
+    }
+
+    /// Starts an order-independent seeded schedule: from now on each
+    /// in-scope op fails with `probability`, decided by a hash of `seed`,
+    /// the operation, its path and range, and how many identical requests
+    /// came before — not by a shared random stream. Requests racing on
+    /// several threads therefore meet exactly the faults they would meet
+    /// one after another, so a parallel run and a sequential run of the
+    /// same work fail the same requests. Calling it again restarts the
+    /// schedule (the same `seed` replays it); `probability` 0 turns it off.
+    pub fn set_keyed_faults(&self, probability: f64, seed: u64) {
+        *self.keyed.lock() = KeyedFaults { probability, seed, seen: HashMap::new() };
     }
 
     /// Sets which operations are in scope from now on.
@@ -125,7 +168,14 @@ impl<S: ObjectStore> FaultyStore<S> {
         &self.inner
     }
 
-    fn maybe_fail(&self, is_read: bool, op: &str) -> Result<()> {
+    fn maybe_fail(
+        &self,
+        is_read: bool,
+        op: &'static str,
+        path: &str,
+        offset: u64,
+        len: u64,
+    ) -> Result<()> {
         logstore_sync::assert_no_locks_held("FaultyStore OSS request");
         let (in_scope, probability, op_scheduled) = {
             let plan = self.plan.lock();
@@ -153,7 +203,8 @@ impl<S: ObjectStore> FaultyStore<S> {
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
             .is_ok();
         let random = probability > 0.0 && self.rng.lock().gen_bool(probability);
-        if op_scheduled || countdown || random {
+        let keyed = self.keyed.lock().draw(op, path, offset, len);
+        if op_scheduled || countdown || random || keyed {
             self.injected.fetch_add(1, Ordering::SeqCst);
             return Err(Error::Io(std::io::Error::other(format!(
                 "injected oss fault during {op} (simulated 503)"
@@ -165,32 +216,32 @@ impl<S: ObjectStore> FaultyStore<S> {
 
 impl<S: ObjectStore> ObjectStore for FaultyStore<S> {
     fn put(&self, path: &str, data: &[u8]) -> Result<()> {
-        self.maybe_fail(false, "put")?;
+        self.maybe_fail(false, "put", path, 0, 0)?;
         self.inner.put(path, data)
     }
 
     fn get(&self, path: &str) -> Result<Vec<u8>> {
-        self.maybe_fail(true, "get")?;
+        self.maybe_fail(true, "get", path, 0, 0)?;
         self.inner.get(path)
     }
 
     fn get_range(&self, path: &str, offset: u64, len: u64) -> Result<Vec<u8>> {
-        self.maybe_fail(true, "get_range")?;
+        self.maybe_fail(true, "get_range", path, offset, len)?;
         self.inner.get_range(path, offset, len)
     }
 
     fn head(&self, path: &str) -> Result<u64> {
-        self.maybe_fail(true, "head")?;
+        self.maybe_fail(true, "head", path, 0, 0)?;
         self.inner.head(path)
     }
 
     fn list(&self, prefix: &str) -> Result<Vec<String>> {
-        self.maybe_fail(true, "list")?;
+        self.maybe_fail(true, "list", prefix, 0, 0)?;
         self.inner.list(prefix)
     }
 
     fn delete(&self, path: &str) -> Result<()> {
-        self.maybe_fail(false, "delete")?;
+        self.maybe_fail(false, "delete", path, 0, 0)?;
         self.inner.delete(path)
     }
 }
@@ -233,6 +284,40 @@ mod tests {
         assert_eq!(pattern_a, pattern_b);
         assert!(pattern_a.iter().any(|ok| *ok));
         assert!(pattern_a.iter().any(|ok| !*ok));
+    }
+
+    #[test]
+    fn keyed_failures_ignore_request_order() {
+        let a = FaultyStore::new(MemoryStore::new(), FaultScope::Reads, 0.0, 1);
+        let b = FaultyStore::new(MemoryStore::new(), FaultScope::Reads, 0.0, 1);
+        a.inner().put("k", &[0u8; 64]).unwrap();
+        b.inner().put("k", &[0u8; 64]).unwrap();
+        a.set_keyed_faults(0.3, 11);
+        b.set_keyed_faults(0.3, 11);
+        // Each range is requested twice; `b` sees the requests reversed.
+        let requests: Vec<u64> = (0..32).chain(0..32).collect();
+        let failed = |s: &FaultyStore<MemoryStore>, order: &mut dyn Iterator<Item = u64>| {
+            let mut failed: Vec<(u64, usize)> = Vec::new();
+            let mut seen = std::collections::HashMap::new();
+            for offset in order {
+                let n = seen.entry(offset).or_insert(0usize);
+                if s.get_range("k", offset, 1).is_err() {
+                    failed.push((offset, *n));
+                }
+                *n += 1;
+            }
+            failed.sort_unstable();
+            failed
+        };
+        let fa = failed(&a, &mut requests.clone().into_iter());
+        let fb = failed(&b, &mut requests.into_iter().rev());
+        assert_eq!(fa, fb, "the same requests must fail whatever the order");
+        assert!(!fa.is_empty() && fa.len() < 64, "p=0.3 over 64 requests: {}", fa.len());
+        // Restarting the schedule replays it; probability 0 turns it off.
+        a.set_keyed_faults(0.3, 11);
+        assert_eq!(failed(&a, &mut (0..32).chain(0..32)), fa);
+        a.set_keyed_faults(0.0, 11);
+        assert!(failed(&a, &mut (0..32)).is_empty());
     }
 
     #[test]

@@ -58,6 +58,16 @@ cargo run -q --release -p logstore-bench --bin bench_compact -- --smoke
 echo "== bench_query smoke =="
 cargo run -q --release -p logstore-bench --bin bench_query -- --smoke
 
+# End-to-end bench smoke: a 2-second `query_cold` run through the
+# BENCHMARK.json command. Every query result is checked against its
+# `QueryOptions::baseline()` result and any difference exits non-zero;
+# then the bench's own helper tests. The full runs (`--workload ingest |
+# query_cold | mixed`, 30 s each) are manual; see bench_e2e/README.md.
+echo "== bench_e2e smoke =="
+cargo run --release --offline --quiet --manifest-path bench_e2e/Cargo.toml -- \
+    --workload query_cold --seconds 2 --trace 0
+cargo test --manifest-path bench_e2e/Cargo.toml
+
 # Lock-analysis stage: the same detector that runs in every debug test,
 # but over *release* interleavings — optimized code races harder. Covers
 # the simtest episode sweep, the cache herd, and the engine lock-order

@@ -4,11 +4,11 @@
 //! LogBlocks, and the query-vs-expire race surfacing as a clean retry
 //! instead of a raw OSS `NotFound`.
 
-use logstore::core::{ClusterConfig, LogStore, QueryOptions};
+use logstore::core::{ClusterConfig, CrashHooks, LogStore, OpenParts, QueryOptions, QueryPoint};
 use logstore::oss::ObjectStore;
 use logstore::types::{LogRecord, TenantId, Timestamp, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, Weak};
 
 fn rec(t: u64, ts: i64, msg: &str) -> LogRecord {
     LogRecord::new(
@@ -210,6 +210,97 @@ fn query_racing_expire_and_compact_never_sees_not_found() {
         total_queries += queries;
     }
     assert!(total_queries > 0, "the readers never ran");
+}
+
+/// Runs `action` against the store the first time an armed query attempt
+/// reaches `point` — a map change landing in an exact window of the
+/// query, with no thread race involved.
+struct ChangeMapAt {
+    point: QueryPoint,
+    store: OnceLock<Weak<LogStore>>,
+    armed: AtomicBool,
+    action: fn(&LogStore),
+}
+
+impl CrashHooks for ChangeMapAt {
+    fn query_reached(&self, point: QueryPoint) {
+        if point == self.point && self.armed.swap(false, Ordering::SeqCst) {
+            let store = self.store.get().and_then(Weak::upgrade).expect("store is alive");
+            (self.action)(&store);
+        }
+    }
+}
+
+/// A store with eight small tenant-1 LogBlocks (compactable, and the
+/// first four expirable at retention 1 000 ms by `now` = 5 500) whose
+/// query attempts call `action` once at `point` when armed.
+fn store_changing_map_at(
+    point: QueryPoint,
+    action: fn(&LogStore),
+) -> (Arc<LogStore>, Arc<ChangeMapAt>) {
+    let hooks = Arc::new(ChangeMapAt {
+        point,
+        store: OnceLock::new(),
+        armed: AtomicBool::new(false),
+        action,
+    });
+    let parts =
+        OpenParts { hooks: Some(hooks.clone() as Arc<dyn CrashHooks>), ..OpenParts::default() };
+    let s = Arc::new(LogStore::open_with(ClusterConfig::for_testing(), parts).unwrap());
+    hooks.store.set(Arc::downgrade(&s)).expect("set once");
+    s.set_retention(TenantId(1), Some(1_000));
+    for block in 0..8i64 {
+        let base = if block < 4 { block * 25 } else { 5_000 + block * 25 };
+        for i in 0..25 {
+            s.ingest(vec![rec(1, base + i, if i % 3 == 0 { "timeout upstream" } else { "ok" })])
+                .unwrap();
+        }
+        s.flush().unwrap();
+    }
+    assert_eq!(s.block_count(), 8);
+    (s, hooks)
+}
+
+/// Deterministic form of the race above: a planned LogBlock is deleted —
+/// expired or compacted away, then garbage-collected — after the query
+/// snapshotted the map but before its I/O stage opens the block, or after
+/// the I/O stage but before its CPU stage decodes it. Each time the query
+/// must come back through one stale retry with the rows of the new map,
+/// never as a raw `NotFound`.
+#[test]
+fn block_deleted_between_snapshot_and_decode_replans() {
+    let sql = "SELECT log FROM request_log WHERE tenant_id = 1 ORDER BY ts ASC";
+    let expire: fn(&LogStore) = |s| assert_eq!(s.expire(Timestamp(5_500)).unwrap(), 4);
+    let compact: fn(&LogStore) = |s| {
+        assert!(s.compact().unwrap().runs_committed >= 1);
+        assert!(s.gc().deleted >= 2);
+    };
+    let direct = QueryOptions { use_cache: false, use_prefetch: false, ..QueryOptions::default() };
+    let cases = [
+        ("expire before open", QueryPoint::MapSnapshotted, expire, QueryOptions::default()),
+        ("compact before open", QueryPoint::MapSnapshotted, compact, QueryOptions::default()),
+        ("compact before decode", QueryPoint::WindowStaged, compact, direct.clone()),
+        ("expire before decode", QueryPoint::WindowStaged, expire, direct),
+    ];
+    for (case, point, action, opts) in cases {
+        for parallelism in [1usize, 4] {
+            let (s, hooks) = store_changing_map_at(point, action);
+            let opts = opts.clone().with_parallelism(parallelism);
+            hooks.armed.store(true, Ordering::SeqCst);
+            let raced = s
+                .query_with_options(sql, &opts)
+                .unwrap_or_else(|e| panic!("{case} at parallelism {parallelism}: {e}"));
+            assert!(!hooks.armed.load(Ordering::SeqCst), "{case}: the hook never fired");
+            assert_eq!(raced.stale_retries, 1, "{case} at parallelism {parallelism}");
+            // The replanned attempt read the new map: the same rows as a
+            // query that starts after the change.
+            let after = s.query_with_options(sql, &opts).unwrap();
+            assert_eq!(after.stale_retries, 0);
+            assert_eq!(raced.result, after.result, "{case} at parallelism {parallelism}");
+            let expected = if case.starts_with("expire") { 100 } else { 200 };
+            assert_eq!(raced.result.rows.len(), expected, "{case}");
+        }
+    }
 }
 
 /// Retention semantics end to end: expired rows disappear from queries,
