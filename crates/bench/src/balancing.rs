@@ -7,7 +7,7 @@
 
 use logstore_flow::balancer::{Balancer, GreedyBalancer, MaxFlowBalancer};
 use logstore_flow::sim::{build_snapshot, simulate, ClusterTopology, SimConfig, SimResult};
-use logstore_flow::{ConsistentHashRing, ControlAction, FlowControlConfig, TrafficController};
+use logstore_flow::{plan, ConsistentHashRing, FlowControlConfig, Plan, RoutingTable};
 use logstore_types::TenantId;
 use logstore_workload::WorkloadSpec;
 use std::collections::HashMap;
@@ -61,11 +61,7 @@ impl BalanceExperiment {
             topology,
             spec: WorkloadSpec::paper(theta),
             total_rate: (total_capacity as f64 * 0.75) as u64,
-            flow: FlowControlConfig {
-                alpha: 0.85,
-                per_tenant_shard_limit: 100_000,
-                check_interval_secs: 300,
-            },
+            flow: FlowControlConfig { alpha: 0.85, per_tenant_shard_limit: 100_000 },
             sim: SimConfig::default(),
             max_ticks: 10,
         }
@@ -85,43 +81,71 @@ pub struct Outcome {
     pub ticks: usize,
 }
 
+/// Algorithm 1 lines 4–7: initial placement by consistent hashing with
+/// 100% weight.
+fn ring_routes(tenants: &[TenantId], ring: &ConsistentHashRing) -> RoutingTable {
+    let mut routes = RoutingTable::new();
+    for &t in tenants {
+        if let Some(shard) = ring.assign(t) {
+            routes.set_routes(t, vec![(shard, 1.0)]).expect("a single full-weight route is valid");
+        }
+    }
+    routes
+}
+
 /// Runs one (θ, policy) cell.
 pub fn run(exp: &BalanceExperiment, policy: Policy) -> Outcome {
     let rates: HashMap<TenantId, u64> = exp.spec.tenant_rates(exp.total_rate);
     let tenants = exp.spec.tenant_ids();
     let ring = ConsistentHashRing::new(&exp.topology.shards());
 
-    let balancer: Box<dyn Balancer> = match policy {
-        Policy::Greedy => Box::new(GreedyBalancer),
-        _ => Box::new(MaxFlowBalancer),
+    let balancer: &dyn Balancer = match policy {
+        Policy::Greedy => &GreedyBalancer,
+        _ => &MaxFlowBalancer,
     };
-    let mut controller = TrafficController::new(exp.flow.clone(), balancer);
-    controller.init_routes(&tenants, &ring).expect("route init cannot fail on a non-empty ring");
+    let mut routes = ring_routes(&tenants, &ring);
 
-    let before = simulate(controller.routes(), &rates, &exp.topology, &exp.sim);
+    let before = simulate(&routes, &rates, &exp.topology, &exp.sim);
     if policy == Policy::None {
-        let routes = controller.routes().route_count();
-        return Outcome { after: before.clone(), before, routes, ticks: 0 };
+        return Outcome { after: before.clone(), before, routes: routes.route_count(), ticks: 0 };
     }
 
     let mut ticks = 0;
     let mut last = before.clone();
     for _ in 0..exp.max_ticks {
         let snapshot = build_snapshot(&last, &rates, &exp.topology);
-        let action = controller.tick(&snapshot).expect("control tick");
+        let next = plan(&snapshot, &routes, &exp.flow, balancer).expect("control tick");
         ticks += 1;
-        last = simulate(controller.routes(), &rates, &exp.topology, &exp.sim);
-        if matches!(action, ControlAction::None) {
+        let idle = matches!(next, Plan::None);
+        if let Plan::Rebalance(table) = next {
+            routes = table;
+        }
+        last = simulate(&routes, &rates, &exp.topology, &exp.sim);
+        if idle {
             break;
         }
     }
-    Outcome { before, after: last, routes: controller.routes().route_count(), ticks }
+    Outcome { before, after: last, routes: routes.route_count(), ticks }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use logstore_flow::monitor::load_stddev;
+    use logstore_types::ShardId;
+
+    #[test]
+    fn initial_placement_uses_the_ring() {
+        let ring = ConsistentHashRing::new(&[ShardId(0), ShardId(1)]);
+        let tenants: Vec<TenantId> = (0..10).map(TenantId).collect();
+        let routes = ring_routes(&tenants, &ring);
+        assert_eq!(routes.tenant_count(), 10);
+        for &t in &tenants {
+            let only = routes.routes(t).unwrap();
+            assert_eq!(only.len(), 1);
+            assert_eq!((only[0].shard, only[0].weight), (ring.assign(t).unwrap(), 1.0));
+        }
+    }
 
     #[test]
     fn skewed_workload_collapses_without_control_and_recovers_with_it() {

@@ -1,5 +1,6 @@
 //! Ingest write-path benchmark: the seed-shaped write path (every append
-//! holds one shard lock across encode + WAL fsync + row-store insert) vs
+//! holds one shard lock across encode + WAL fsync + row-store insert, so
+//! the group-commit WAL sees one producer at a time) vs
 //! the group-commit fast path (encode outside locks, concurrent producers
 //! coalesced into one WAL frame + one fsync per epoch, short lock only
 //! for the row-store apply).
@@ -11,11 +12,12 @@
 //! every appended frame survives reopen.
 //!
 //! `--smoke` runs a tiny matrix into a temp file and asserts the
-//! invariants hold (used by `scripts/check.sh`).
+//! invariants hold, including exactly one fsync per batch on the
+//! baseline at every producer count (used by `scripts/check.sh`).
 
 use logstore_sync::OrderedMutex;
 use logstore_types::{LogRecord, TableSchema, TenantId, Timestamp};
-use logstore_wal::{FlushPolicy, GroupCommitWal, Lsn, RowStore, ShardStore, Wal, WalConfig};
+use logstore_wal::{FlushPolicy, GroupCommitWal, Lsn, RowStore, ShardStore, WalConfig};
 use logstore_workload::LogRecordGenerator;
 use std::sync::Arc;
 use std::time::Instant;
@@ -87,16 +89,16 @@ fn percentile_ms(mut latencies_ns: Vec<u64>, p: f64) -> f64 {
     latencies_ns[idx] as f64 / 1e6
 }
 
-/// The seed-shaped write path: one lock around the whole append (encode
-/// happened outside here too, but the WAL fsync and the row-store insert
-/// both run under it, serializing every producer).
+/// The seed-shaped write path: one lock around the whole append (encode,
+/// the WAL fsync and the row-store insert all run under it, serializing
+/// every producer — so no two appends ever share a group).
 struct BaselineShard {
-    wal: Wal,
+    wal: GroupCommitWal,
     rows: RowStore,
 }
 
 fn run_baseline(dir: &std::path::Path, producers: usize, work: &[Vec<Vec<LogRecord>>]) -> Cell {
-    let (wal, replayed) = Wal::open(dir, wal_config()).expect("open baseline wal");
+    let (wal, replayed) = GroupCommitWal::open(dir, wal_config()).expect("open baseline wal");
     assert!(replayed.is_empty(), "baseline bench dir must start empty");
     let shard = Arc::new(OrderedMutex::new(
         "bench.ingest.baseline",
@@ -114,10 +116,11 @@ fn run_baseline(dir: &std::path::Path, producers: usize, work: &[Vec<Vec<LogReco
                 // insert all serialized under the one shard lock.
                 let mut guard = shard.lock();
                 let payload = ShardStore::encode_batch_payload(&batch);
-                guard.wal.append(&payload).expect("baseline append");
+                let lsn = guard.wal.append(&payload).expect("baseline append");
                 for record in batch {
                     guard.rows.insert(record);
                 }
+                guard.wal.confirm_applied(lsn);
                 drop(guard);
                 latencies.push(op.elapsed().as_nanos() as u64);
             }
@@ -132,14 +135,15 @@ fn run_baseline(dir: &std::path::Path, producers: usize, work: &[Vec<Vec<LogReco
     let appends = (producers * work[0].len()) as u64;
     let guard = shard.lock();
     assert_eq!(guard.rows.row_count() as u64, appends * ROWS_PER_BATCH as u64);
-    let fsyncs = guard.wal.fsyncs();
+    let stats = guard.wal.stats();
     drop(guard);
+    assert_eq!(stats.appends, appends);
     Cell {
         producers,
         rows_per_sec: (appends * ROWS_PER_BATCH as u64) as f64 / wall.as_secs_f64(),
         p99_ack_ms: percentile_ms(latencies, 0.99),
         appends,
-        fsyncs,
+        fsyncs: stats.fsyncs,
         wall_ms: wall.as_secs_f64() * 1e3,
     }
 }
@@ -238,6 +242,12 @@ fn json_cells(cells: &[Cell]) -> String {
 }
 
 fn main() {
+    // The baseline appends under a held shard lock on purpose; debug
+    // builds' lock analysis rejects exactly that, so only release runs.
+    if cfg!(debug_assertions) {
+        eprintln!("bench_ingest runs in release builds only (cargo run --release ...)");
+        std::process::exit(2);
+    }
     let smoke = std::env::args().any(|a| a == "--smoke");
     let knobs = if smoke {
         Knobs {
@@ -291,7 +301,19 @@ fn main() {
         coalesced < 1.0,
         "group commit must coalesce fsyncs at 16 producers (got {coalesced:.3}/batch)"
     );
-    if !knobs.smoke {
+    if knobs.smoke {
+        // The shard lock must keep serializing the baseline's producers:
+        // every batch is its own group with its own fsync.
+        for b in &baseline {
+            assert_eq!(
+                b.fsyncs,
+                b.appends,
+                "baseline at {} producers: {:.3} fsyncs/batch, want 1.000",
+                b.producers,
+                b.fsyncs_per_batch()
+            );
+        }
+    } else {
         assert!(speedup16 >= 3.0, "expected >=3x at 16 producers, got {speedup16:.2}x");
     }
 

@@ -75,6 +75,8 @@ pub struct GcReport {
     pub deleted: u64,
     /// Tombstones kept for the next pass because their delete failed.
     pub retained: u64,
+    /// The last failed delete of the pass: `(path, error)`.
+    pub last_failed_delete: Option<(String, String)>,
     /// Orphaned pending paths (crash between upload and commit) swept
     /// into the tombstone list this pass.
     pub orphans_swept: u64,
@@ -269,7 +271,10 @@ pub fn run_gc<S: ObjectStore>(
                 }
                 report.deleted += 1;
             }
-            Err(_) => report.retained += 1,
+            Err(e) => {
+                report.retained += 1;
+                report.last_failed_delete = Some((path, e.to_string()));
+            }
         }
     }
     report
@@ -351,9 +356,14 @@ mod tests {
         assert_eq!(first.deleted, 2);
         assert_eq!(first.retained, 1);
         assert_eq!(m.tombstones().len(), 1);
+        // The report names the retained object and why its delete failed.
+        let (path, error) = first.last_failed_delete.expect("failed delete is reported");
+        assert_eq!(m.tombstones(), vec![path]);
+        assert!(error.contains("injected"), "cause must survive: {error}");
         // Next pass finishes the job: nothing leaked.
         let second = run_gc(&store, &m, None, &NoopHooks);
         assert_eq!(second.deleted, 1);
+        assert_eq!(second.last_failed_delete, None);
         assert!(m.tombstones().is_empty());
         assert_eq!(store.inner().object_count(), 0);
     }

@@ -63,7 +63,7 @@ pub struct ClusterConfig {
     /// bound on concurrently-running per-source collection tasks across
     /// ALL in-flight queries.
     pub query_threads: usize,
-    /// Flow-control knobs (α, per-tenant shard limit, interval).
+    /// Flow-control knobs (α, per-tenant shard limit).
     pub flow: FlowControlConfig,
     /// Balancer selection.
     pub balancer: BalancerKind,
@@ -119,11 +119,7 @@ impl ClusterConfig {
             cache_shards: 4,
             prefetch_threads: 4,
             query_threads: 4,
-            flow: FlowControlConfig {
-                alpha: 0.85,
-                per_tenant_shard_limit: 50_000,
-                check_interval_secs: 300,
-            },
+            flow: FlowControlConfig { alpha: 0.85, per_tenant_shard_limit: 50_000 },
             balancer: BalancerKind::MaxFlow,
             raft_replicas: 1,
             controller_replicas: 3,

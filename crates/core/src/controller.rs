@@ -40,9 +40,8 @@ use crate::metadata::MetadataStore;
 use crate::worker::{ShardWindow, Worker};
 use logstore_flow::balancer::{Balancer, GreedyBalancer, MaxFlowBalancer};
 use logstore_flow::ctrl::{pick_routes, ControlState, CtrlCmd};
-use logstore_flow::monitor::detect_hotspots;
 use logstore_flow::sim::ClusterTopology;
-use logstore_flow::{ControlAction, FlowControlConfig, TrafficSnapshot};
+use logstore_flow::{ControlAction, FlowControlConfig, Plan, TrafficSnapshot};
 use logstore_net::{NetFaults, SimNet};
 use logstore_oss::ObjectStore;
 use logstore_raft::{InProcCluster, RaftConfig, Role};
@@ -391,10 +390,18 @@ impl ControlPlane {
                 }
             }
             CtrlRequest::Tick { windows } => {
-                let (a, proposal) =
-                    plan_tick(&self.sms[i].state, windows, &self.flow, self.balancer.as_ref());
-                action = Some(a);
-                proposal
+                match plan_tick(&self.sms[i].state, windows, &self.flow, self.balancer.as_ref()) {
+                    Ok((a, proposal)) => {
+                        action = Some(a);
+                        proposal
+                    }
+                    Err(e) => {
+                        let resp = CtrlResponse::Failed { error: e.to_string() };
+                        self.sms[i].complete(id, resp.clone());
+                        self.respond(i, from, id, resp);
+                        return;
+                    }
+                }
             }
             CtrlRequest::VacateDone { tenant, shard } => {
                 let pending = self.sms[i].state.pending_vacated().contains(&(*tenant, *shard));
@@ -679,43 +686,25 @@ impl ControlPlane {
     }
 }
 
-/// Computes one control tick on the leader: hotspot detection, then either
-/// nothing, a scale-out request, or a concrete rebalancing plan to propose.
+/// Computes one control tick on the leader with [`logstore_flow::plan`];
+/// a rebalance becomes a concrete `CommitRebalance` proposal. A planner
+/// failure is returned, leaving the current table in force.
 fn plan_tick(
     state: &ControlState,
     windows: &HashMap<WorkerId, HashMap<ShardId, ShardWindow>>,
     flow: &FlowControlConfig,
     balancer: &dyn Balancer,
-) -> (ControlAction, Option<CtrlCmd>) {
+) -> Result<(ControlAction, Option<CtrlCmd>)> {
     let snapshot = snapshot_from_windows(state, windows);
-    let hotspots = detect_hotspots(&snapshot, flow.alpha);
-    if hotspots.is_empty() {
-        return (ControlAction::None, None);
-    }
-    let demand = snapshot.total_traffic();
-    let usable = (snapshot.total_worker_capacity() as f64 * flow.alpha) as u64;
-    if demand > usable {
-        return (ControlAction::ScaleCluster { demand, usable_capacity: usable }, None);
-    }
     let current = state.routing_table();
-    let routes_before = current.route_count();
-    match balancer.rebalance(&snapshot, &current, flow) {
-        Ok(plan) => {
-            let routes_after = plan.route_count();
-            let mut assignments: Vec<(TenantId, Vec<(ShardId, f64)>)> = plan
-                .iter()
-                .map(|(t, rs)| (t, rs.iter().map(|r| (r.shard, r.weight)).collect()))
-                .collect();
-            // The balancer iterates HashMaps; the proposed payload must not.
-            assignments.sort_by_key(|(t, _)| *t);
-            (
-                ControlAction::Rebalanced { routes_before, routes_after },
-                Some(CtrlCmd::CommitRebalance { assignments }),
-            )
-        }
-        // A planner failure leaves the current table in force.
-        Err(_) => (ControlAction::None, None),
-    }
+    let plan = logstore_flow::plan(&snapshot, &current, flow, balancer)?;
+    let action = plan.action(&current);
+    let Plan::Rebalance(table) = plan else { return Ok((action, None)) };
+    let mut assignments: Vec<(TenantId, Vec<(ShardId, f64)>)> =
+        table.iter().map(|(t, rs)| (t, rs.iter().map(|r| (r.shard, r.weight)).collect())).collect();
+    // The balancer iterates HashMaps; the proposed payload must not.
+    assignments.sort_by_key(|(t, _)| *t);
+    Ok((action, Some(CtrlCmd::CommitRebalance { assignments })))
 }
 
 /// Assembles the monitor's snapshot from the replicated topology and the
@@ -1147,6 +1136,40 @@ mod tests {
         );
         assert!(c.read_shards(hot).len() > 1, "hot tenant must gain shards");
         assert!(!c.vacated_routes().is_empty() || c.read_shards(hot).contains(&home));
+    }
+
+    /// A planner that always fails, to check the error reaches the caller.
+    struct FailingBalancer;
+
+    impl Balancer for FailingBalancer {
+        fn name(&self) -> &'static str {
+            "failing"
+        }
+
+        fn rebalance(
+            &self,
+            _: &TrafficSnapshot,
+            _: &logstore_flow::RoutingTable,
+            _: &FlowControlConfig,
+        ) -> Result<logstore_flow::RoutingTable> {
+            Err(Error::Internal("planted planner failure".into()))
+        }
+    }
+
+    #[test]
+    fn planner_failure_reaches_the_caller() {
+        let c = controller(BalancerKind::MaxFlow);
+        c.plane.lock().balancer = Box::new(FailingBalancer);
+        let hot = TenantId(1);
+        let home = c.pick_shard(hot, 0).unwrap();
+        let window = ShardWindow { total: 200_000, per_tenant: HashMap::from([(hot, 200_000)]) };
+        let windows =
+            HashMap::from([(c.topology().shard_to_worker[&home], HashMap::from([(home, window)]))]);
+        let states = c.replica_states();
+        let err = c.control_tick_with(windows).expect_err("a failed plan must not look idle");
+        assert!(err.to_string().contains("planted planner failure"), "got {err}");
+        assert_eq!(c.read_shards(hot), vec![home], "the current table stays in force");
+        assert_eq!(c.replica_states(), states, "nothing was proposed");
     }
 
     #[test]

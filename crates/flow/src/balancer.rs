@@ -263,7 +263,7 @@ mod tests {
     }
 
     fn config() -> FlowControlConfig {
-        FlowControlConfig { alpha: 1.0, per_tenant_shard_limit: 100, check_interval_secs: 300 }
+        FlowControlConfig { alpha: 1.0, per_tenant_shard_limit: 100 }
     }
 
     fn single_hot_tenant_snapshot() -> (TrafficSnapshot, RoutingTable) {

@@ -1,15 +1,18 @@
-//! The global traffic control loop (Algorithm 1).
+//! The global traffic control loop (Algorithm 1) as one pure planning step.
 //!
-//! Every control interval the controller collects a [`TrafficSnapshot`],
-//! detects hot shards, and either (a) rebalances tenant traffic when the
-//! cluster still has headroom (`Σ f(D_k) ≤ α Σ c(D_k)`), or (b) asks for
-//! more workers (`ScaleCluster`). Route updates are what brokers consume.
+//! Every control interval the caller collects a [`TrafficSnapshot`] and
+//! asks [`plan`] what to do. With no hot shard or worker the answer is
+//! [`Plan::None`]. When the cluster is out of headroom
+//! (`Σ f(D_k) > α Σ c(D_k)`) only more workers help
+//! ([`Plan::ScaleCluster`]). Otherwise the balancer produces a new routing
+//! table ([`Plan::Rebalance`]). The replicated controller in
+//! `logstore-core` commits that table through its Raft log; the Figure
+//! 12–14 harnesses install it directly.
 
 use crate::balancer::Balancer;
-use crate::consistent::ConsistentHashRing;
 use crate::monitor::{detect_hotspots, TrafficSnapshot};
 use crate::routing::RoutingTable;
-use logstore_types::{Result, TenantId};
+use logstore_types::Result;
 
 /// Tuning knobs of the control loop.
 #[derive(Debug, Clone)]
@@ -20,17 +23,15 @@ pub struct FlowControlConfig {
     /// per-edge capacity `f_max` of the flow network and the divisor of
     /// `CalculateAddRoutesNum`.
     pub per_tenant_shard_limit: u64,
-    /// Control interval (the paper re-checks every 300 s).
-    pub check_interval_secs: u64,
 }
 
 impl Default for FlowControlConfig {
     fn default() -> Self {
-        FlowControlConfig { alpha: 0.85, per_tenant_shard_limit: 100_000, check_interval_secs: 300 }
+        FlowControlConfig { alpha: 0.85, per_tenant_shard_limit: 100_000 }
     }
 }
 
-/// What one control tick decided.
+/// What one control tick decided, as reported to callers.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ControlAction {
     /// No hot spots; nothing changed.
@@ -51,112 +52,75 @@ pub enum ControlAction {
     },
 }
 
-/// The hotspot manager: monitor → balancer → router (paper Fig 6).
-pub struct TrafficController {
-    config: FlowControlConfig,
-    balancer: Box<dyn Balancer>,
-    routes: RoutingTable,
-    /// The previous plan, retained so reads can fan out to old + new shards
-    /// during the switch-over window.
-    previous_routes: RoutingTable,
+/// The outcome of [`plan`]: a [`ControlAction`] plus, for a rebalance, the
+/// table that replaces the current one.
+#[derive(Debug, Clone)]
+pub enum Plan {
+    /// No hot spots; keep the current table.
+    None,
+    /// The cluster is saturated; more workers are needed.
+    ScaleCluster {
+        /// Total offered traffic.
+        demand: u64,
+        /// `α ×` total worker capacity.
+        usable_capacity: u64,
+    },
+    /// Install this routing table.
+    Rebalance(RoutingTable),
 }
 
-impl TrafficController {
-    /// Creates a controller with the given planner.
-    pub fn new(config: FlowControlConfig, balancer: Box<dyn Balancer>) -> Self {
-        TrafficController {
-            config,
-            balancer,
-            routes: RoutingTable::new(),
-            previous_routes: RoutingTable::new(),
-        }
-    }
-
-    /// Algorithm 1 lines 4–7: initial placement by consistent hashing with
-    /// 100% weight.
-    pub fn init_routes(&mut self, tenants: &[TenantId], ring: &ConsistentHashRing) -> Result<()> {
-        for &t in tenants {
-            if let Some(shard) = ring.assign(t) {
-                self.routes.set_routes(t, vec![(shard, 1.0)])?;
+impl Plan {
+    /// The caller-facing summary of this plan against the table it replaces.
+    pub fn action(&self, current: &RoutingTable) -> ControlAction {
+        match self {
+            Plan::None => ControlAction::None,
+            Plan::ScaleCluster { demand, usable_capacity } => {
+                ControlAction::ScaleCluster { demand: *demand, usable_capacity: *usable_capacity }
             }
+            Plan::Rebalance(table) => ControlAction::Rebalanced {
+                routes_before: current.route_count(),
+                routes_after: table.route_count(),
+            },
         }
-        self.previous_routes = self.routes.clone();
-        Ok(())
     }
+}
 
-    /// Reinstalls a tenant's routes from recovered state (equal weights).
-    ///
-    /// Routing tables live in controller memory and die with the process,
-    /// but a restarted worker replays its WAL — so a tenant rebalanced off
-    /// its home shard can hold durable rows on shards the rebuilt table
-    /// knows nothing about. Recovery calls this for every tenant found in
-    /// a replayed row store; without it those rows are unreachable by
-    /// reads until the tenant happens to be rebalanced there again.
-    pub fn restore_routes(
-        &mut self,
-        tenant: TenantId,
-        shards: &[logstore_types::ShardId],
-    ) -> Result<()> {
-        if shards.is_empty() {
-            return Ok(());
-        }
-        self.routes.set_routes(tenant, shards.iter().map(|&s| (s, 1.0)).collect())
+/// One control tick (Algorithm 1 lines 9–29): hotspot detection, then
+/// nothing, a scale-out request, or the balancer's new table. A balancer
+/// failure is returned to the caller; the current table stays in force.
+pub fn plan(
+    snapshot: &TrafficSnapshot,
+    current: &RoutingTable,
+    config: &FlowControlConfig,
+    balancer: &dyn Balancer,
+) -> Result<Plan> {
+    if detect_hotspots(snapshot, config.alpha).is_empty() {
+        return Ok(Plan::None);
     }
-
-    /// The current routing table.
-    pub fn routes(&self) -> &RoutingTable {
-        &self.routes
+    let demand = snapshot.total_traffic();
+    let usable_capacity = (snapshot.total_worker_capacity() as f64 * config.alpha) as u64;
+    if demand > usable_capacity {
+        // Line 25: only adding workers can help.
+        return Ok(Plan::ScaleCluster { demand, usable_capacity });
     }
-
-    /// The previous plan (kept for the read switch-over window and for the
-    /// §4.1.5 vacated-shard flush).
-    pub fn previous_routes(&self) -> &RoutingTable {
-        &self.previous_routes
-    }
-
-    /// Shards a read for `tenant` must consult (old ∪ new plans).
-    pub fn read_shards(&self, tenant: TenantId) -> Vec<logstore_types::ShardId> {
-        self.routes.read_shards(&self.previous_routes, tenant)
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &FlowControlConfig {
-        &self.config
-    }
-
-    /// One control tick (Algorithm 1 lines 9–29).
-    pub fn tick(&mut self, snapshot: &TrafficSnapshot) -> Result<ControlAction> {
-        let hotspots = detect_hotspots(snapshot, self.config.alpha);
-        if hotspots.is_empty() {
-            return Ok(ControlAction::None);
-        }
-        let demand = snapshot.total_traffic();
-        let usable = (snapshot.total_worker_capacity() as f64 * self.config.alpha) as u64;
-        if demand > usable {
-            // Line 25: only adding workers can help.
-            return Ok(ControlAction::ScaleCluster { demand, usable_capacity: usable });
-        }
-        let routes_before = self.routes.route_count();
-        let plan = self.balancer.rebalance(snapshot, &self.routes, &self.config)?;
-        let routes_after = plan.route_count();
-        self.previous_routes = std::mem::replace(&mut self.routes, plan);
-        Ok(ControlAction::Rebalanced { routes_before, routes_after })
-    }
+    Ok(Plan::Rebalance(balancer.rebalance(snapshot, current, config)?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::balancer::MaxFlowBalancer;
-    use logstore_types::{ShardId, WorkerId};
+    use logstore_types::{ShardId, TenantId, WorkerId};
 
-    fn controller() -> TrafficController {
-        let config = FlowControlConfig {
-            alpha: 0.85,
-            per_tenant_shard_limit: 100,
-            check_interval_secs: 300,
-        };
-        TrafficController::new(config, Box::new(MaxFlowBalancer))
+    fn config() -> FlowControlConfig {
+        FlowControlConfig { alpha: 0.85, per_tenant_shard_limit: 100 }
+    }
+
+    /// Tenant 1 homed on shard 0 of a 2-worker × 2-shard cluster.
+    fn table() -> RoutingTable {
+        let mut t = RoutingTable::new();
+        t.set_routes(TenantId(1), vec![(ShardId(0), 1.0)]).unwrap();
+        t
     }
 
     fn snapshot(hot: bool, demand: u64) -> TrafficSnapshot {
@@ -178,53 +142,33 @@ mod tests {
     }
 
     #[test]
-    fn init_routes_uses_ring() {
-        let mut c = controller();
-        let ring = ConsistentHashRing::new(&[ShardId(0), ShardId(1)]);
-        let tenants: Vec<TenantId> = (0..10).map(TenantId).collect();
-        c.init_routes(&tenants, &ring).unwrap();
-        assert_eq!(c.routes().tenant_count(), 10);
-        for &t in &tenants {
-            assert_eq!(c.routes().routes(t).unwrap().len(), 1);
-        }
-    }
-
-    #[test]
     fn cold_tick_is_noop() {
-        let mut c = controller();
-        let ring = ConsistentHashRing::new(&[ShardId(0)]);
-        c.init_routes(&[TenantId(1)], &ring).unwrap();
-        let action = c.tick(&snapshot(false, 10)).unwrap();
-        assert_eq!(action, ControlAction::None);
+        let p = plan(&snapshot(false, 10), &table(), &config(), &MaxFlowBalancer).unwrap();
+        assert!(matches!(p, Plan::None), "got {p:?}");
+        assert_eq!(p.action(&table()), ControlAction::None);
     }
 
     #[test]
     fn hot_tick_rebalances() {
-        let mut c = controller();
-        let ring = ConsistentHashRing::new(&[ShardId(0), ShardId(1), ShardId(2), ShardId(3)]);
-        c.init_routes(&[TenantId(1)], &ring).unwrap();
-        // Force tenant onto shard 0 so the snapshot matches.
-        c.routes.set_routes(TenantId(1), vec![(ShardId(0), 1.0)]).unwrap();
-        let action = c.tick(&snapshot(true, 250)).unwrap();
-        let ControlAction::Rebalanced { routes_before, routes_after } = action else {
-            panic!("expected rebalance, got {action:?}");
+        let current = table();
+        let p = plan(&snapshot(true, 250), &current, &config(), &MaxFlowBalancer).unwrap();
+        let ControlAction::Rebalanced { routes_before, routes_after } = p.action(&current) else {
+            panic!("expected rebalance, got {p:?}");
         };
         assert_eq!(routes_before, 1);
         assert!(routes_after >= 3);
+        let Plan::Rebalance(next) = p else { unreachable!() };
         // Reads must consult old and new shards during switch-over.
-        let reads = c.read_shards(TenantId(1));
+        let reads = next.read_shards(&current, TenantId(1));
         assert!(reads.contains(&ShardId(0)));
         assert!(reads.len() >= 3);
     }
 
     #[test]
     fn saturation_escalates_to_scaling() {
-        let mut c = controller();
-        let ring = ConsistentHashRing::new(&[ShardId(0)]);
-        c.init_routes(&[TenantId(1)], &ring).unwrap();
-        let action = c.tick(&snapshot(true, 1000)).unwrap();
-        let ControlAction::ScaleCluster { demand, usable_capacity } = action else {
-            panic!("expected scale-out, got {action:?}");
+        let p = plan(&snapshot(true, 1000), &table(), &config(), &MaxFlowBalancer).unwrap();
+        let ControlAction::ScaleCluster { demand, usable_capacity } = p.action(&table()) else {
+            panic!("expected scale-out, got {p:?}");
         };
         assert_eq!(demand, 1000);
         assert_eq!(usable_capacity, 340); // 0.85 * 400

@@ -15,7 +15,9 @@
 //! * [`routing`] — weighted tenant→shard routing tables.
 //! * [`monitor`] — traffic snapshots and hotspot detection.
 //! * [`balancer`] — the greedy (Alg 2) and max-flow (Alg 3) planners.
-//! * [`controller`] — the control loop (Alg 1) tying them together.
+//! * [`controller`] — the control loop (Alg 1) as one pure step,
+//!   [`plan`], shared by the replicated controller and the figure
+//!   harnesses.
 //! * [`ctrl`] — the replicated controller's deterministic state machine
 //!   (commands applied through the Raft log).
 //! * [`backpressure`] — bounded queues implementing the BFC mechanism (§4.2).
@@ -37,7 +39,7 @@ pub mod sim;
 pub use backpressure::{BfcQueue, BfcQueueConfig};
 pub use balancer::{Balancer, GreedyBalancer, MaxFlowBalancer};
 pub use consistent::ConsistentHashRing;
-pub use controller::{ControlAction, FlowControlConfig, TrafficController};
+pub use controller::{plan, ControlAction, FlowControlConfig, Plan};
 pub use ctrl::{ControlState, CtrlCmd};
 pub use monitor::{HotspotReport, TrafficSnapshot};
 pub use network::FlowNetwork;

@@ -1,19 +1,17 @@
-//! Query execution: per-source collection, partial-result merging and
-//! finalization.
+//! Query execution: partial results, their merging and finalization.
 //!
 //! A LogStore query runs against several sources at once — the real-time
 //! row store on each routed shard plus every pruned-in LogBlock on OSS.
-//! Each source yields a [`Partial`]; the broker merges partials and
-//! finalizes (ordering, limiting, header construction) once.
+//! Each source yields a [`Partial`] (collected by [`crate::plan`]); the
+//! broker merges partials and finalizes (ordering, limiting, header
+//! construction) once.
 //!
 //! Aggregation supports the paper's "lightweight BI" surface: `COUNT(*)`,
 //! `COUNT/SUM/MIN/MAX/AVG(col)`, optionally per `GROUP BY` group, with
 //! `ORDER BY COUNT(*)` top-k.
 
 use crate::ast::{AggFunc, GroupKey, OrderKey, Query, SelectItem};
-use logstore_logblock::pack::RangeSource;
-use logstore_logblock::reader::LogBlockReader;
-use logstore_logblock::scan::{evaluate_predicates, fetch_rows, ScanStats};
+use logstore_logblock::scan::ScanStats;
 use logstore_types::{Error, Result, TableSchema, Value};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -240,129 +238,6 @@ pub(crate) fn group_key_value(group: &GroupKey, v: &Value) -> Value {
     }
 }
 
-pub(crate) fn update_states(states: &mut [AggState], row: &[Value], item_cols: &[Option<usize>]) {
-    for (state, col) in states.iter_mut().zip(item_cols) {
-        state.update(col.map(|c| &row[c]));
-    }
-}
-
-/// Collects a [`Partial`] from one LogBlock through the data-skipping
-/// scanner (Fig 8).
-pub fn collect_from_block<S: RangeSource>(
-    reader: &LogBlockReader<S>,
-    query: &Query,
-    use_skipping: bool,
-    stats: &mut QueryStats,
-) -> Result<Partial> {
-    stats.blocks_visited += 1;
-    let ids = evaluate_predicates(reader, &query.predicates, use_skipping, &mut stats.scan)?;
-    if query.is_aggregate() {
-        let (cols, item_cols, group) = agg_columns(query);
-        let n_items = item_cols.len();
-        // Fast path: COUNT(*)-only queries need no column data at all.
-        if cols.is_empty() {
-            let state = AggState { count: u64::from(ids.count()), ..AggState::default() };
-            return Ok(Partial::Agg(vec![state; n_items]));
-        }
-        let rows = if ids.is_empty() { Vec::new() } else { fetch_rows(reader, &ids, &cols)? };
-        if let Some(group) = group {
-            let mut groups: BTreeMap<OrdValue, Vec<AggState>> = BTreeMap::new();
-            for row in rows {
-                let states = groups
-                    .entry(OrdValue(group_key_value(&group, &row[0])))
-                    .or_insert_with(|| vec![AggState::default(); n_items]);
-                update_states(states, &row, &item_cols);
-            }
-            Ok(Partial::Groups(groups))
-        } else {
-            let mut states = vec![AggState::default(); n_items];
-            for row in rows {
-                update_states(&mut states, &row, &item_cols);
-            }
-            Ok(Partial::Agg(states))
-        }
-    } else {
-        let (cols, _) = internal_columns(query, reader.schema())?;
-        if ids.is_empty() {
-            return Ok(Partial::Rows(Vec::new()));
-        }
-        Ok(Partial::Rows(fetch_rows(reader, &ids, &cols)?))
-    }
-}
-
-/// Collects a [`Partial`] from full positional rows (the real-time store
-/// path — predicates are applied here, mirroring the block scanner).
-pub fn collect_from_rows<'a>(
-    rows: impl Iterator<Item = &'a [Value]>,
-    schema: &TableSchema,
-    query: &Query,
-    stats: &mut QueryStats,
-) -> Result<Partial> {
-    let pred_cols: Vec<usize> = query
-        .predicates
-        .iter()
-        .map(|p| {
-            schema
-                .column_index(&p.column)
-                .ok_or_else(|| Error::Query(format!("unknown column '{}'", p.column)))
-        })
-        .collect::<Result<_>>()?;
-    let (cols, _) = internal_columns(query, schema)?;
-    let out_cols: Vec<usize> = cols
-        .iter()
-        .map(|c| {
-            schema.column_index(c).ok_or_else(|| Error::Query(format!("unknown column '{c}'")))
-        })
-        .collect::<Result<_>>()?;
-    // Aggregate plumbing against full positional rows.
-    let group = query.group_by.clone();
-    let agg_item_cols: Vec<Option<usize>> = query
-        .aggregate_items()
-        .iter()
-        .map(|(_, col)| col.as_ref().and_then(|c| schema.column_index(c)))
-        .collect();
-    let group_idx =
-        match &group {
-            Some(g) => Some(schema.column_index(g.column()).ok_or_else(|| {
-                Error::Query(format!("unknown GROUP BY column '{}'", g.column()))
-            })?),
-            None => None,
-        };
-    let n_items = agg_item_cols.len();
-
-    let mut out_rows = Vec::new();
-    let mut groups: BTreeMap<OrdValue, Vec<AggState>> = BTreeMap::new();
-    let mut global = vec![AggState::default(); n_items];
-    for row in rows {
-        stats.realtime_rows_scanned += 1;
-        let matches = query.predicates.iter().zip(&pred_cols).all(|(p, &c)| p.matches(&row[c]));
-        if !matches {
-            continue;
-        }
-        if query.is_aggregate() {
-            if let (Some(group), Some(g)) = (&group, group_idx) {
-                let states = groups
-                    .entry(OrdValue(group_key_value(group, &row[g])))
-                    .or_insert_with(|| vec![AggState::default(); n_items]);
-                update_states(states, row, &agg_item_cols);
-            } else {
-                update_states(&mut global, row, &agg_item_cols);
-            }
-        } else {
-            out_rows.push(out_cols.iter().map(|&c| row[c].clone()).collect());
-        }
-    }
-    if query.is_aggregate() {
-        if group.is_some() {
-            Ok(Partial::Groups(groups))
-        } else {
-            Ok(Partial::Agg(global))
-        }
-    } else {
-        Ok(Partial::Rows(out_rows))
-    }
-}
-
 /// Merges partials from multiple sources. All partials must share the
 /// query's shape.
 pub fn merge_partials(partials: Vec<Partial>) -> Result<Partial> {
@@ -514,195 +389,6 @@ pub fn finalize(partial: Partial, query: &Query, schema: &TableSchema) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::bind;
-    use crate::parser::parse_query;
-    use logstore_logblock::builder::LogBlockBuilder;
-    use logstore_types::TableSchema;
-
-    fn schema() -> TableSchema {
-        TableSchema::request_log()
-    }
-
-    fn make_rows(n: usize) -> Vec<Vec<Value>> {
-        (0..n)
-            .map(|i| {
-                vec![
-                    Value::U64(i as u64 % 2),
-                    Value::I64(1000 + i as i64),
-                    Value::from(format!("ip{}", i % 3)),
-                    Value::from("/api"),
-                    if i % 9 == 0 { Value::Null } else { Value::I64((i as i64 * 13) % 100) },
-                    Value::Bool(i % 4 == 0),
-                    Value::from(format!("line {i}")),
-                ]
-            })
-            .collect()
-    }
-
-    fn block(n: usize) -> LogBlockReader<Vec<u8>> {
-        let mut b =
-            LogBlockBuilder::with_options(schema(), logstore_codec::Compression::LzHigh, 16);
-        for row in make_rows(n) {
-            b.add_row(&row).unwrap();
-        }
-        LogBlockReader::open(b.finish().unwrap()).unwrap()
-    }
-
-    fn q(sql: &str) -> Query {
-        bind(&parse_query(sql).unwrap(), &schema()).unwrap()
-    }
-
-    fn run(sql: &str, n: usize) -> QueryResult {
-        let query = q(sql);
-        let mut stats = QueryStats::default();
-        let p = collect_from_block(&block(n), &query, true, &mut stats).unwrap();
-        finalize(p, &query, &schema()).unwrap()
-    }
-
-    /// Naive oracle over the raw rows for one aggregate function.
-    fn oracle<'a>(rows: impl Iterator<Item = &'a Vec<Value>>, col: usize, func: AggFunc) -> Value {
-        let mut state = AggState::default();
-        for row in rows {
-            state.update(Some(&row[col]));
-        }
-        state.finalize(func)
-    }
-
-    #[test]
-    fn block_and_rows_paths_agree() {
-        let query = q("SELECT log, latency FROM request_log WHERE tenant_id = 1 AND latency < 50");
-        let mut s1 = QueryStats::default();
-        let from_block = collect_from_block(&block(60), &query, true, &mut s1).unwrap();
-        let rows = make_rows(60);
-        let mut s2 = QueryStats::default();
-        let from_rows =
-            collect_from_rows(rows.iter().map(|r| r.as_slice()), &schema(), &query, &mut s2)
-                .unwrap();
-        assert_eq!(from_block, from_rows);
-        let Partial::Rows(r) = from_block else { panic!() };
-        assert!(!r.is_empty());
-        assert_eq!(s2.realtime_rows_scanned, 60);
-    }
-
-    #[test]
-    fn count_star_merges_across_sources() {
-        let query = q("SELECT COUNT(*) FROM request_log WHERE fail = true");
-        let mut stats = QueryStats::default();
-        let p1 = collect_from_block(&block(40), &query, true, &mut stats).unwrap();
-        let p2 = collect_from_block(&block(40), &query, true, &mut stats).unwrap();
-        let merged = merge_partials(vec![p1, p2]).unwrap();
-        let result = finalize(merged, &query, &schema()).unwrap();
-        assert_eq!(result.columns, vec!["COUNT(*)"]);
-        assert_eq!(result.rows[0][0], Value::U64(20)); // 10 per block of 40
-    }
-
-    #[test]
-    fn sum_min_max_avg_match_oracle() {
-        let rows = make_rows(80);
-        let latency = 4;
-        let result = run(
-            "SELECT SUM(latency), MIN(latency), MAX(latency), AVG(latency), COUNT(latency) \
-             FROM request_log",
-            80,
-        );
-        assert_eq!(
-            result.columns,
-            vec!["SUM(latency)", "MIN(latency)", "MAX(latency)", "AVG(latency)", "COUNT(latency)"]
-        );
-        let got = &result.rows[0];
-        assert_eq!(got[0], oracle(rows.iter(), latency, AggFunc::Sum));
-        assert_eq!(got[1], oracle(rows.iter(), latency, AggFunc::Min));
-        assert_eq!(got[2], oracle(rows.iter(), latency, AggFunc::Max));
-        assert_eq!(got[3], oracle(rows.iter(), latency, AggFunc::Avg));
-        assert_eq!(got[4], oracle(rows.iter(), latency, AggFunc::Count));
-        // NULLs (every 9th row) are excluded from COUNT(col).
-        let non_null = rows.iter().filter(|r| !r[latency].is_null()).count() as u64;
-        assert_eq!(got[4], Value::U64(non_null));
-        assert!(non_null < 80);
-    }
-
-    #[test]
-    fn grouped_aggregates_in_projection_order() {
-        let result = run(
-            "SELECT ip, COUNT(*), MAX(latency) FROM request_log \
-             GROUP BY ip ORDER BY COUNT(*) DESC LIMIT 2",
-            60,
-        );
-        assert_eq!(result.columns, vec!["ip", "COUNT(*)", "MAX(latency)"]);
-        assert_eq!(result.rows.len(), 2);
-        assert_eq!(result.rows[0][1], Value::U64(20)); // 60 rows over 3 ips
-        assert!(matches!(result.rows[0][2], Value::I64(_)));
-    }
-
-    #[test]
-    fn time_bucket_grouping_buckets_rows() {
-        // make_rows assigns ts = 1000 + i, so 60 rows span buckets
-        // [1000,1019] -> 1000, [1020,1039] -> 1020, [1040,1059] -> 1040.
-        let result = run(
-            "SELECT TIMEBUCKET(ts, 20), COUNT(*) FROM request_log GROUP BY TIMEBUCKET(ts, 20)",
-            60,
-        );
-        assert_eq!(result.columns, vec!["TIMEBUCKET(ts, 20)", "COUNT(*)"]);
-        assert_eq!(
-            result.rows,
-            vec![
-                vec![Value::I64(1000), Value::U64(20)],
-                vec![Value::I64(1020), Value::U64(20)],
-                vec![Value::I64(1040), Value::U64(20)],
-            ]
-        );
-        // Block path and rows path agree on bucketed grouping.
-        let query = q(
-            "SELECT TIMEBUCKET(ts, 32), MAX(latency) FROM request_log GROUP BY TIMEBUCKET(ts, 32)",
-        );
-        let mut s1 = QueryStats::default();
-        let from_block = collect_from_block(&block(60), &query, true, &mut s1).unwrap();
-        let rows = make_rows(60);
-        let mut s2 = QueryStats::default();
-        let from_rows =
-            collect_from_rows(rows.iter().map(|r| r.as_slice()), &schema(), &query, &mut s2)
-                .unwrap();
-        assert_eq!(from_block, from_rows);
-    }
-
-    #[test]
-    fn avg_of_nothing_is_null() {
-        let result = run("SELECT AVG(latency) FROM request_log WHERE latency > 99999", 30);
-        assert_eq!(result.rows[0][0], Value::Null);
-    }
-
-    #[test]
-    fn group_by_with_order_and_limit() {
-        let result = run(
-            "SELECT ip, COUNT(*) FROM request_log GROUP BY ip \
-             ORDER BY COUNT(*) DESC LIMIT 2",
-            60,
-        );
-        assert_eq!(result.columns, vec!["ip", "COUNT(*)"]);
-        assert_eq!(result.rows.len(), 2);
-        assert_eq!(result.rows[0][1], Value::U64(20));
-    }
-
-    #[test]
-    fn order_by_non_projected_column_is_stripped() {
-        let query = q("SELECT log FROM request_log ORDER BY latency DESC LIMIT 3");
-        let mut stats = QueryStats::default();
-        let p = collect_from_block(&block(30), &query, true, &mut stats).unwrap();
-        let result = finalize(p, &query, &schema()).unwrap();
-        assert_eq!(result.columns, vec!["log"]);
-        assert_eq!(result.rows.len(), 3);
-        assert_eq!(result.rows[0].len(), 1, "sort helper column must be stripped");
-    }
-
-    #[test]
-    fn select_star_expands_schema() {
-        let query = q("SELECT * FROM request_log LIMIT 1");
-        let mut stats = QueryStats::default();
-        let p = collect_from_block(&block(5), &query, true, &mut stats).unwrap();
-        let result = finalize(p, &query, &schema()).unwrap();
-        assert_eq!(result.columns.len(), 7);
-        assert_eq!(result.rows.len(), 1);
-    }
 
     #[test]
     fn mismatched_partials_rejected() {
@@ -713,31 +399,22 @@ mod tests {
     }
 
     #[test]
-    fn skipping_off_gives_same_results() {
-        let query = q("SELECT log FROM request_log WHERE latency >= 50 AND fail = false");
-        let mut s1 = QueryStats::default();
-        let mut s2 = QueryStats::default();
-        let with = collect_from_block(&block(100), &query, true, &mut s1).unwrap();
-        let without = collect_from_block(&block(100), &query, false, &mut s2).unwrap();
-        assert_eq!(with, without);
-        assert!(s1.scan.blocks_scanned <= s2.scan.blocks_scanned);
-    }
-
-    #[test]
     fn aggregate_states_merge_like_single_pass() {
-        let rows = make_rows(90);
-        let (a, b) = rows.split_at(40);
+        let cells: Vec<Value> = (0..90i64)
+            .map(|i| if i % 9 == 0 { Value::Null } else { Value::I64((i * 13) % 100) })
+            .collect();
+        let (a, b) = cells.split_at(40);
         let mut one = AggState::default();
-        for r in &rows {
-            one.update(Some(&r[4]));
+        for v in &cells {
+            one.update(Some(v));
         }
         let mut left = AggState::default();
-        for r in a {
-            left.update(Some(&r[4]));
+        for v in a {
+            left.update(Some(v));
         }
         let mut right = AggState::default();
-        for r in b {
-            right.update(Some(&r[4]));
+        for v in b {
+            right.update(Some(v));
         }
         left.merge(&right);
         assert_eq!(left, one);

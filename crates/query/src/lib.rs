@@ -22,11 +22,14 @@
 //! * [`ast`] — the query representation handed to brokers.
 //! * [`analyze`] — extracts the routing scope (tenant, time range) that
 //!   drives LogBlock-map pruning (Fig 8 ①).
-//! * [`exec`] — evaluation over LogBlocks (via the data-skipping scanner)
-//!   and over real-time-store records, plus partial-result merging.
-//! * [`plan`] — the physical [`plan::ScanPlan`]: aggregation pushdown into
-//!   the scan layer (or the row-transport baseline), vectorized predicate
-//!   batches, and the per-source `LIMIT` early-out.
+//! * [`exec`] — per-source partial results, their merging and
+//!   finalization.
+//! * [`plan`] — the physical [`plan::ScanPlan`], the one collector for
+//!   LogBlocks ([`plan::ScanPlan::collect_block`]) and real-time records
+//!   ([`plan::RowCollector`]): aggregation pushdown into the scan layer
+//!   over vectorized predicate batches, or the row-at-a-time row-transport
+//!   baseline that doubles as the test oracle, plus the per-source `LIMIT`
+//!   early-out.
 
 #![forbid(unsafe_code)]
 

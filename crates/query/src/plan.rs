@@ -9,18 +9,20 @@
 //!   ([`Partial::Agg`] / [`Partial::Groups`]) instead of matched rows.
 //!   Pure `COUNT(*)` queries skip column materialization entirely; unordered
 //!   non-aggregate queries stop materializing after `LIMIT` rows per source.
-//! * **Pushdown off**: sources ship [`Partial::Rows`] of the aggregate-input
-//!   columns (the row-materializing baseline) and the executor aggregates
-//!   once after the deterministic merge, via [`ScanPlan::finish_partial`].
+//! * **Pushdown off**: predicates are evaluated row at a time and sources
+//!   ship [`Partial::Rows`] of the aggregate-input columns; the executor
+//!   aggregates once after the deterministic merge, via
+//!   [`ScanPlan::finish_partial`]. This is the row-materializing baseline
+//!   and the oracle the vectorized path is tested against.
 //!
-//! Both modes fold partials in submission order over commutative,
-//! associative accumulators, so results are bit-identical to each other and
-//! at every `parallelism` setting.
+//! Both modes aggregate rows through one fold (`AggSpec::fold`) and merge
+//! partials in submission order over commutative, associative
+//! accumulators, so results are bit-identical to each other and at every
+//! `parallelism` setting.
 
 use crate::ast::{AggFunc, GroupKey, Query};
 use crate::exec::{
-    agg_columns, group_key_value, internal_columns, update_states, AggState, OrdValue, Partial,
-    QueryStats,
+    agg_columns, group_key_value, internal_columns, AggState, OrdValue, Partial, QueryStats,
 };
 use logstore_logblock::pack::RangeSource;
 use logstore_logblock::reader::LogBlockReader;
@@ -39,6 +41,37 @@ pub struct AggSpec {
     pub item_cols: Vec<Option<usize>>,
     /// Optional group key; its column is always `columns[0]`.
     pub group: Option<GroupKey>,
+}
+
+impl AggSpec {
+    /// Folds rows of [`ScanPlan::columns`] into this spec's partial state:
+    /// per block with pushdown, once after the merge without.
+    fn fold<R: AsRef<[Value]>>(&self, rows: impl IntoIterator<Item = R>) -> Partial {
+        let fresh = || vec![AggState::default(); self.items.len()];
+        let update = |states: &mut [AggState], row: &[Value]| {
+            for (state, col) in states.iter_mut().zip(&self.item_cols) {
+                state.update(col.map(|c| &row[c]));
+            }
+        };
+        match &self.group {
+            Some(group) => {
+                let mut groups: BTreeMap<OrdValue, Vec<AggState>> = BTreeMap::new();
+                for row in rows {
+                    let row = row.as_ref();
+                    let key = OrdValue(group_key_value(group, &row[0]));
+                    update(groups.entry(key).or_insert_with(fresh), row);
+                }
+                Partial::Groups(groups)
+            }
+            None => {
+                let mut states = fresh();
+                for row in rows {
+                    update(&mut states, row.as_ref());
+                }
+                Partial::Agg(states)
+            }
+        }
+    }
 }
 
 /// The physical plan shipped to every source task of one query.
@@ -126,59 +159,36 @@ impl ScanPlan {
             if let Some(limit) = self.limit_hint {
                 idv.truncate(limit);
             }
-            if idv.is_empty() {
-                return Ok(Partial::Rows(Vec::new()));
-            }
-            let cols = self.resolve_columns(|name| reader.schema().column_index(name))?;
-            return Ok(Partial::Rows(reader.read_rows(&idv, &cols)?));
+            return Ok(Partial::Rows(self.read_columns(reader, &idv)?));
         };
-
-        if !self.pushdown {
-            // Baseline: ship the matched rows of the aggregate-input columns
-            // (empty-width rows for pure COUNT(*) — the row markers still
-            // travel to the executor).
-            let idv = ids.to_vec();
-            let rows = if self.columns.is_empty() {
-                vec![Vec::new(); idv.len()]
-            } else if idv.is_empty() {
-                Vec::new()
-            } else {
-                let cols = self.resolve_columns(|name| reader.schema().column_index(name))?;
-                reader.read_rows(&idv, &cols)?
-            };
-            return Ok(Partial::Rows(rows));
-        }
-
-        // Pushdown: aggregate inside the scan.
-        let n_items = self.n_items();
         if self.columns.is_empty() {
-            // Pure COUNT(*): the row-id set is the whole answer.
-            let state = AggState { count: u64::from(ids.count()), ..AggState::default() };
-            return Ok(Partial::Agg(vec![state; n_items]));
+            // Pure COUNT(*): with pushdown the row-id set is the whole
+            // answer; the baseline ships empty-width rows (the row markers
+            // still travel to the executor).
+            return Ok(if self.pushdown {
+                let state = AggState { count: u64::from(ids.count()), ..AggState::default() };
+                Partial::Agg(vec![state; agg.items.len()])
+            } else {
+                Partial::Rows(vec![Vec::new(); ids.count() as usize])
+            });
         }
-        let idv = ids.to_vec();
-        let rows = if idv.is_empty() {
-            Vec::new()
-        } else {
-            let cols = self.resolve_columns(|name| reader.schema().column_index(name))?;
-            reader.read_rows(&idv, &cols)?
-        };
-        if let Some(group) = &agg.group {
-            let mut groups: BTreeMap<OrdValue, Vec<AggState>> = BTreeMap::new();
-            for row in rows {
-                let states = groups
-                    .entry(OrdValue(group_key_value(group, &row[0])))
-                    .or_insert_with(|| vec![AggState::default(); n_items]);
-                update_states(states, &row, &agg.item_cols);
-            }
-            Ok(Partial::Groups(groups))
-        } else {
-            let mut states = vec![AggState::default(); n_items];
-            for row in rows {
-                update_states(&mut states, &row, &agg.item_cols);
-            }
-            Ok(Partial::Agg(states))
+        // Pushdown aggregates inside the scan; the baseline ships the
+        // matched rows of the aggregate-input columns.
+        let rows = self.read_columns(reader, &ids.to_vec())?;
+        Ok(if self.pushdown { agg.fold(rows) } else { Partial::Rows(rows) })
+    }
+
+    /// Materializes [`ScanPlan::columns`] of the given rows of one block.
+    fn read_columns<S: RangeSource>(
+        &self,
+        reader: &LogBlockReader<S>,
+        row_ids: &[u32],
+    ) -> Result<Vec<Vec<Value>>> {
+        if row_ids.is_empty() {
+            return Ok(Vec::new());
         }
+        let cols = self.resolve_columns(|name| reader.schema().column_index(name))?;
+        reader.read_rows(row_ids, &cols)
     }
 
     /// Resolves [`ScanPlan::columns`] through a name→index lookup.
@@ -202,23 +212,7 @@ impl ScanPlan {
         let Partial::Rows(rows) = merged else {
             return Err(Error::Internal("pushdown-off aggregate expects row transport".into()));
         };
-        let n_items = self.n_items();
-        if let Some(group) = &agg.group {
-            let mut groups: BTreeMap<OrdValue, Vec<AggState>> = BTreeMap::new();
-            for row in &rows {
-                let states = groups
-                    .entry(OrdValue(group_key_value(group, &row[0])))
-                    .or_insert_with(|| vec![AggState::default(); n_items]);
-                update_states(states, row, &agg.item_cols);
-            }
-            Ok(Partial::Groups(groups))
-        } else {
-            let mut states = vec![AggState::default(); n_items];
-            for row in &rows {
-                update_states(&mut states, row, &agg.item_cols);
-            }
-            Ok(Partial::Agg(states))
-        }
+        Ok(agg.fold(rows))
     }
 }
 
@@ -397,7 +391,7 @@ pub type BlockScanStats = ScanStats;
 mod tests {
     use super::*;
     use crate::analyze::bind;
-    use crate::exec::{collect_from_block, collect_from_rows, finalize, merge_partials};
+    use crate::exec::{finalize, merge_partials, QueryResult};
     use crate::parser::parse_query;
     use logstore_logblock::builder::LogBlockBuilder;
     use logstore_types::{TenantId, Timestamp};
@@ -454,61 +448,202 @@ mod tests {
         "SELECT SUM(latency), MIN(latency), MAX(latency), AVG(latency) FROM request_log",
         "SELECT ip, COUNT(*), MAX(latency) FROM request_log GROUP BY ip",
         "SELECT TIMEBUCKET(ts, 20), COUNT(*) FROM request_log GROUP BY TIMEBUCKET(ts, 20)",
+        "SELECT TIMEBUCKET(ts, 32), MAX(latency) FROM request_log GROUP BY TIMEBUCKET(ts, 32)",
         "SELECT log FROM request_log WHERE latency >= 10 LIMIT 3",
         "SELECT log FROM request_log ORDER BY latency DESC LIMIT 3",
     ];
 
-    /// Pushdown on, pushdown off, and the pre-plan collectors all finalize
-    /// to the same result, from blocks and from the real-time path alike.
-    #[test]
-    fn plan_modes_agree_with_legacy_collectors() {
-        for sql in SHAPES {
-            for use_skipping in [true, false] {
-                let query = q(sql);
-                let reader = block(60);
-                let recs = records(60);
+    /// One block source's partial under `plan`.
+    fn collect(plan: &ScanPlan, reader: &LogBlockReader<Vec<u8>>, skipping: bool) -> Partial {
+        let mut stats = QueryStats::default();
+        plan.collect_block(reader, skipping, &mut stats, &mut DecodeStats::default()).unwrap()
+    }
 
-                let mut results = Vec::new();
+    /// One real-time source's partial under `plan`, and its scan counter.
+    fn collect_records(plan: &ScanPlan, recs: &[LogRecord]) -> (Partial, u64) {
+        let mut collector = RowCollector::new(plan, &schema()).unwrap();
+        for r in recs {
+            if !collector.push_record(r) {
+                break;
+            }
+        }
+        let mut stats = QueryStats::default();
+        let p = collector.finish(&mut stats);
+        (p, stats.realtime_rows_scanned)
+    }
+
+    /// Merges, finishes and finalizes the partials of `query` under `plan`.
+    fn result(plan: &ScanPlan, query: &Query, partials: Vec<Partial>) -> QueryResult {
+        let done = plan.finish_partial(merge_partials(partials).unwrap()).unwrap();
+        finalize(done, query, &schema()).unwrap()
+    }
+
+    /// `sql` over one block of `n` rows, checked equal with pushdown on
+    /// (vectorized) and off (the row-at-a-time oracle).
+    fn run(sql: &str, n: usize) -> QueryResult {
+        let query = q(sql);
+        let reader = block(n);
+        let [on, off] = [true, false].map(|pushdown| {
+            let plan = ScanPlan::new(&query, &schema(), pushdown).unwrap();
+            result(&plan, &query, vec![collect(&plan, &reader, true)])
+        });
+        assert_eq!(on, off, "pushdown on and off diverge for {sql}");
+        on
+    }
+
+    /// Naive oracle over the raw rows for one aggregate function.
+    fn oracle<'a>(rows: impl Iterator<Item = &'a Vec<Value>>, col: usize, func: AggFunc) -> Value {
+        let mut state = AggState::default();
+        for row in rows {
+            state.update(Some(&row[col]));
+        }
+        state.finalize(func)
+    }
+
+    /// Pushdown on and off finalize to the same result, with and without
+    /// skipping; in each mode a block source and a real-time source over
+    /// the same rows yield the same partial.
+    #[test]
+    fn pushdown_on_and_off_agree_across_sources() {
+        let reader = block(60);
+        let recs = records(60);
+        for sql in SHAPES {
+            let query = q(sql);
+            for use_skipping in [true, false] {
+                let mut merged = Vec::new();
                 for pushdown in [true, false] {
                     let plan = ScanPlan::new(&query, &schema(), pushdown).unwrap();
-                    let mut stats = QueryStats::default();
-                    let mut decode = DecodeStats::default();
-                    let from_block =
-                        plan.collect_block(&reader, use_skipping, &mut stats, &mut decode).unwrap();
-                    let mut collector = RowCollector::new(&plan, &schema()).unwrap();
-                    for r in &recs {
-                        if !collector.push_record(r) {
-                            break;
-                        }
-                    }
-                    let from_rt = collector.finish(&mut stats);
-                    let merged = merge_partials(vec![from_block, from_rt]).unwrap();
-                    let done = plan.finish_partial(merged).unwrap();
-                    results.push(finalize(done, &query, &schema()).unwrap());
+                    let from_block = collect(&plan, &reader, use_skipping);
+                    let (from_rt, scanned) = collect_records(&plan, &recs);
                     if plan.limit_hint.is_none() {
-                        assert_eq!(stats.realtime_rows_scanned, 60, "{sql}");
+                        assert_eq!(scanned, 60, "{sql}");
                     }
+                    assert_eq!(
+                        from_block, from_rt,
+                        "block and real-time sources diverge for {sql} (pushdown {pushdown})"
+                    );
+                    merged.push(result(&plan, &query, vec![from_block, from_rt]));
                 }
-
-                // Legacy (pre-plan) collectors as the oracle.
-                let mut stats = QueryStats::default();
-                let from_block =
-                    collect_from_block(&reader, &query, use_skipping, &mut stats).unwrap();
-                let rows = make_rows(60);
-                let from_rt = collect_from_rows(
-                    rows.iter().map(|r| r.as_slice()),
-                    &schema(),
-                    &query,
-                    &mut stats,
-                )
-                .unwrap();
-                let oracle =
-                    finalize(merge_partials(vec![from_block, from_rt]).unwrap(), &query, &schema())
-                        .unwrap();
-
-                assert_eq!(results[0], oracle, "pushdown-on diverges for {sql}");
-                assert_eq!(results[1], oracle, "pushdown-off diverges for {sql}");
+                assert_eq!(merged[0], merged[1], "pushdown on and off diverge for {sql}");
             }
+        }
+    }
+
+    #[test]
+    fn count_star_merges_across_sources() {
+        let query = q("SELECT COUNT(*) FROM request_log WHERE fail = true");
+        for pushdown in [true, false] {
+            let plan = ScanPlan::new(&query, &schema(), pushdown).unwrap();
+            let partials = vec![collect(&plan, &block(40), true), collect(&plan, &block(40), true)];
+            let result = result(&plan, &query, partials);
+            assert_eq!(result.columns, vec!["COUNT(*)"]);
+            assert_eq!(result.rows[0][0], Value::U64(20)); // 10 per block of 40
+        }
+    }
+
+    #[test]
+    fn sum_min_max_avg_match_oracle() {
+        let rows = make_rows(80);
+        let latency = 4;
+        let result = run(
+            "SELECT SUM(latency), MIN(latency), MAX(latency), AVG(latency), COUNT(latency) \
+             FROM request_log",
+            80,
+        );
+        assert_eq!(
+            result.columns,
+            vec!["SUM(latency)", "MIN(latency)", "MAX(latency)", "AVG(latency)", "COUNT(latency)"]
+        );
+        let got = &result.rows[0];
+        assert_eq!(got[0], oracle(rows.iter(), latency, AggFunc::Sum));
+        assert_eq!(got[1], oracle(rows.iter(), latency, AggFunc::Min));
+        assert_eq!(got[2], oracle(rows.iter(), latency, AggFunc::Max));
+        assert_eq!(got[3], oracle(rows.iter(), latency, AggFunc::Avg));
+        assert_eq!(got[4], oracle(rows.iter(), latency, AggFunc::Count));
+        // NULLs (every 9th row) are excluded from COUNT(col).
+        let non_null = rows.iter().filter(|r| !r[latency].is_null()).count() as u64;
+        assert_eq!(got[4], Value::U64(non_null));
+        assert!(non_null < 80);
+    }
+
+    #[test]
+    fn grouped_aggregates_in_projection_order() {
+        let result = run(
+            "SELECT ip, COUNT(*), MAX(latency) FROM request_log \
+             GROUP BY ip ORDER BY COUNT(*) DESC LIMIT 2",
+            60,
+        );
+        assert_eq!(result.columns, vec!["ip", "COUNT(*)", "MAX(latency)"]);
+        assert_eq!(result.rows.len(), 2);
+        assert_eq!(result.rows[0][1], Value::U64(20)); // 60 rows over 3 ips
+        assert!(matches!(result.rows[0][2], Value::I64(_)));
+    }
+
+    #[test]
+    fn time_bucket_grouping_buckets_rows() {
+        // make_rows assigns ts = 1000 + i, so 60 rows span buckets
+        // [1000,1019] -> 1000, [1020,1039] -> 1020, [1040,1059] -> 1040.
+        let result = run(
+            "SELECT TIMEBUCKET(ts, 20), COUNT(*) FROM request_log GROUP BY TIMEBUCKET(ts, 20)",
+            60,
+        );
+        assert_eq!(result.columns, vec!["TIMEBUCKET(ts, 20)", "COUNT(*)"]);
+        assert_eq!(
+            result.rows,
+            vec![
+                vec![Value::I64(1000), Value::U64(20)],
+                vec![Value::I64(1020), Value::U64(20)],
+                vec![Value::I64(1040), Value::U64(20)],
+            ]
+        );
+    }
+
+    #[test]
+    fn avg_of_nothing_is_null() {
+        let result = run("SELECT AVG(latency) FROM request_log WHERE latency > 99999", 30);
+        assert_eq!(result.rows[0][0], Value::Null);
+    }
+
+    #[test]
+    fn group_by_with_order_and_limit() {
+        let result = run(
+            "SELECT ip, COUNT(*) FROM request_log GROUP BY ip \
+             ORDER BY COUNT(*) DESC LIMIT 2",
+            60,
+        );
+        assert_eq!(result.columns, vec!["ip", "COUNT(*)"]);
+        assert_eq!(result.rows.len(), 2);
+        assert_eq!(result.rows[0][1], Value::U64(20));
+    }
+
+    #[test]
+    fn order_by_non_projected_column_is_stripped() {
+        let result = run("SELECT log FROM request_log ORDER BY latency DESC LIMIT 3", 30);
+        assert_eq!(result.columns, vec!["log"]);
+        assert_eq!(result.rows.len(), 3);
+        assert_eq!(result.rows[0].len(), 1, "sort helper column must be stripped");
+    }
+
+    #[test]
+    fn select_star_expands_schema() {
+        let result = run("SELECT * FROM request_log LIMIT 1", 5);
+        assert_eq!(result.columns.len(), 7);
+        assert_eq!(result.rows.len(), 1);
+    }
+
+    #[test]
+    fn skipping_off_gives_same_results() {
+        let query = q("SELECT log FROM request_log WHERE latency >= 50 AND fail = false");
+        let reader = block(100);
+        for pushdown in [true, false] {
+            let plan = ScanPlan::new(&query, &schema(), pushdown).unwrap();
+            let mut s1 = QueryStats::default();
+            let mut s2 = QueryStats::default();
+            let mut decode = DecodeStats::default();
+            let with = plan.collect_block(&reader, true, &mut s1, &mut decode).unwrap();
+            let without = plan.collect_block(&reader, false, &mut s2, &mut decode).unwrap();
+            assert_eq!(with, without);
+            assert!(s1.scan.blocks_scanned <= s2.scan.blocks_scanned);
         }
     }
 

@@ -112,6 +112,13 @@ fn expired_block_survives_failed_delete_and_is_retried() {
     let raw = s.shared().fault_layer().inner();
     assert!(raw.head(&path).is_ok(), "the object is still on OSS (delete failed)");
 
+    // A GC pass under the same faults keeps the tombstone and reports why.
+    let failed = s.gc();
+    assert_eq!((failed.deleted, failed.retained), (0, 1));
+    let (failed_path, error) = failed.last_failed_delete.expect("the failed delete is reported");
+    assert_eq!(failed_path, path);
+    assert!(error.contains("injected oss fault"), "the delete's cause must survive: {error}");
+
     // Next pass, faults cleared: the tombstone drains.
     s.shared().fault_layer().clear_faults();
     let gc = s.gc();

@@ -1,15 +1,16 @@
 //! Property: a compacted merge of N LogBlocks is indistinguishable from
 //! the N originals to every reader — full column scans are bit-identical
 //! to the concatenation of the sources, and real queries (aggregates,
-//! predicates, skipping on or off) return byte-equal results whether they
-//! scan the sources or the merged block.
+//! predicates, skipping on or off, aggregation pushdown on or off) return
+//! byte-equal results whether they scan the sources or the merged block.
 
 use logstore::core::databuilder::BuildConfig;
 use logstore::core::{CompactionConfig, LogBlockEntry, MetadataStore, NoopHooks};
+use logstore::logblock::DecodeStats;
 use logstore::logblock::{LogBlockBuilder, LogBlockReader};
 use logstore::oss::{MemoryStore, ObjectStore};
-use logstore::query::exec::{collect_from_block, finalize, merge_partials, QueryStats};
-use logstore::query::{analyze, parse_query};
+use logstore::query::exec::{finalize, merge_partials, Partial, QueryResult, QueryStats};
+use logstore::query::{analyze, parse_query, ScanPlan};
 use logstore::types::{TableSchema, TenantId, Timestamp, Value};
 use proptest::prelude::*;
 
@@ -32,6 +33,25 @@ fn row_strategy() -> impl Strategy<Value = Row> {
 
 fn blocks_strategy() -> impl Strategy<Value = Vec<Vec<Row>>> {
     collection::vec(collection::vec(row_strategy(), 1..40), 2..6)
+}
+
+/// Runs `plan` over `readers` as the broker's gather would: partials
+/// folded in block order, finished, finalized.
+fn scan(
+    plan: &ScanPlan,
+    query: &logstore::query::Query,
+    schema: &TableSchema,
+    readers: &[LogBlockReader<Vec<u8>>],
+    skipping: bool,
+) -> QueryResult {
+    let mut stats = QueryStats::default();
+    let mut decode = DecodeStats::default();
+    let partials: Vec<Partial> = readers
+        .iter()
+        .map(|r| plan.collect_block(r, skipping, &mut stats, &mut decode).unwrap())
+        .collect();
+    let done = plan.finish_partial(merge_partials(partials).unwrap()).unwrap();
+    finalize(done, query, schema).unwrap()
 }
 
 fn to_values(tenant: u64, row: &Row) -> Vec<Value> {
@@ -123,7 +143,14 @@ proptest! {
 
         // 2. Real queries see identical results through the merged block
         // and through the sources (partials folded in block order, the
-        // broker's gather order), with skipping both on and off.
+        // broker's gather order), with skipping both on and off, and with
+        // aggregation pushdown (vectorized) and without (the row-at-a-time
+        // oracle).
+        let sources: Vec<LogBlockReader<Vec<u8>>> = source_bytes
+            .iter()
+            .map(|bytes| LogBlockReader::open(bytes.clone()).unwrap())
+            .collect();
+        let merged = [merged];
         let mid_ts = 5_000;
         for sql in [
             "SELECT COUNT(*) FROM request_log WHERE tenant_id = 1".to_string(),
@@ -134,26 +161,21 @@ proptest! {
         ] {
             let bound = analyze::bind(&parse_query(&sql).unwrap(), &schema).unwrap();
             for skipping in [false, true] {
-                let mut merged_stats = QueryStats::default();
-                let via_merged = finalize(
-                    collect_from_block(&merged, &bound, skipping, &mut merged_stats).unwrap(),
-                    &bound,
-                    &schema,
-                ).unwrap();
-
-                let mut source_stats = QueryStats::default();
-                let mut partials = Vec::new();
-                for bytes in &source_bytes {
-                    let reader = LogBlockReader::open(bytes.clone()).unwrap();
-                    partials.push(
-                        collect_from_block(&reader, &bound, skipping, &mut source_stats).unwrap(),
+                let mut by_mode = Vec::new();
+                for pushdown in [true, false] {
+                    let plan = ScanPlan::new(&bound, &schema, pushdown).unwrap();
+                    let via_merged = scan(&plan, &bound, &schema, &merged, skipping);
+                    let via_sources = scan(&plan, &bound, &schema, &sources, skipping);
+                    prop_assert_eq!(
+                        &via_merged.rows, &via_sources.rows,
+                        "merged vs sources diverged: {} (skipping={}, pushdown={})",
+                        sql, skipping, pushdown
                     );
+                    by_mode.push(via_merged);
                 }
-                let via_sources =
-                    finalize(merge_partials(partials).unwrap(), &bound, &schema).unwrap();
                 prop_assert_eq!(
-                    &via_merged.rows, &via_sources.rows,
-                    "merged vs sources diverged: {} (skipping={})", sql, skipping
+                    &by_mode[0], &by_mode[1],
+                    "pushdown on vs off diverged: {} (skipping={})", sql, skipping
                 );
             }
         }

@@ -23,8 +23,9 @@
 //!    file's crate directory (allowlist:
 //!    `xtask/lint-allow-lock-labels.txt`).
 //! 7. **Swallowed-`Result` ban** — `let _ =` and `.ok();` discarding a
-//!    fallible call in non-test code is budgeted per file
-//!    (`xtask/lint-allow-swallow.txt`); counts may only shrink.
+//!    fallible call, and `Err(_) =>` arms dropping an error's cause, in
+//!    non-test code are budgeted per file (`xtask/lint-allow-swallow.txt`,
+//!    one budget per kind); counts may only shrink.
 
 #![forbid(unsafe_code)]
 
@@ -131,17 +132,18 @@ fn find_token(line: &str, needle: &str) -> bool {
     false
 }
 
-/// Loads a `#`-commented allowlist file into repo-relative path strings
-/// (with optional per-line numeric payloads).
-fn load_allowlist(path: &Path) -> Vec<(String, Option<u64>)> {
+/// Loads a `#`-commented allowlist file into repo-relative path strings,
+/// each with its (possibly empty) list of per-line numeric payloads.
+fn load_allowlist(path: &Path) -> Vec<(String, Vec<u64>)> {
     let text = fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("read allowlist {}: {e}", path.display()));
     text.lines()
         .map(str::trim)
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(|l| match l.split_once(' ') {
-            Some((p, n)) => (p.to_string(), n.trim().parse::<u64>().ok()),
-            None => (l.to_string(), None),
+        .map(|l| {
+            let mut fields = l.split_whitespace();
+            let entry = fields.next().unwrap_or_default().to_string();
+            (entry, fields.map_while(|n| n.parse().ok()).collect())
         })
         .collect()
 }
@@ -204,7 +206,11 @@ fn check_unwrap_budget(root: &Path, failures: &mut Vec<String>) {
             count += code.matches(".unwrap()").count() as u64;
             count += code.matches(".expect(").count() as u64;
         }
-        let budget = budgets.iter().find(|(p, _)| p == &path).and_then(|(_, n)| *n).unwrap_or(0);
+        let budget = budgets
+            .iter()
+            .find(|(p, _)| p == &path)
+            .and_then(|(_, n)| n.first().copied())
+            .unwrap_or(0);
         if count > budget {
             failures.push(format!(
                 "{path}: {count} unwrap/expect in non-test code exceeds budget {budget} \
@@ -432,37 +438,47 @@ fn check_lock_labels(root: &Path, failures: &mut Vec<String>) {
 }
 
 /// Check 7: swallowed `Result`s. `let _ = fallible()` and
-/// `fallible().ok();` make error paths invisible — LogStore's crash-safety
-/// arguments (PR 8's GC barriers above all) depend on errors propagating.
-/// Budgeted per file like the unwrap pass; budgets only shrink.
+/// `fallible().ok();` make error paths invisible, and an `Err(_) =>` arm
+/// keeps the path but drops the cause — LogStore's crash-safety arguments
+/// (PR 8's GC barriers above all) depend on errors propagating. Budgeted
+/// per file like the unwrap pass, one budget per kind; budgets only shrink.
 fn check_swallowed_results(root: &Path, failures: &mut Vec<String>) {
     let budgets = load_allowlist(&root.join("xtask/lint-allow-swallow.txt"));
     for (_, dir) in crate_src_dirs(root) {
         for file in rust_files(&dir) {
             let path = rel(root, &file);
             let text = fs::read_to_string(&file).expect("read source file");
-            let mut count: u64 = 0;
+            let mut discards: u64 = 0;
+            let mut err_arms: u64 = 0;
             for line in text.lines() {
                 if line.contains("#[cfg(test)]") {
                     break;
                 }
                 let code = strip_line_comment(line);
-                count += code.matches("let _ = ").count() as u64;
-                count += code.matches(".ok();").count() as u64;
+                discards += code.matches("let _ = ").count() as u64;
+                discards += code.matches(".ok();").count() as u64;
+                err_arms += code.matches("Err(_) =>").count() as u64;
             }
-            let budget =
-                budgets.iter().find(|(p, _)| p == &path).and_then(|(_, n)| *n).unwrap_or(0);
-            if count > budget {
-                failures.push(format!(
-                    "{path}: {count} swallowed Result(s) (`let _ =` / `.ok();`) in non-test \
-                     code exceeds budget {budget} (xtask/lint-allow-swallow.txt; handle or \
-                     propagate the error — budgets only shrink)"
-                ));
-            } else if count < budget {
-                println!(
-                    "xtask lint: note: {path} is under its swallow budget ({count} < {budget}); \
-                     lower it in xtask/lint-allow-swallow.txt to lock in the progress"
-                );
+            // `<path> <discards> [<Err(_) arms>]`; a missing budget is 0.
+            let budget = budgets.iter().find(|(p, _)| p == &path).map_or(&[][..], |(_, n)| n);
+            let budget = |i: usize| budget.get(i).copied().unwrap_or(0);
+            for (kind, count, budget) in [
+                ("swallowed Result(s) (`let _ =` / `.ok();`)", discards, budget(0)),
+                ("cause-dropping `Err(_) =>` arm(s)", err_arms, budget(1)),
+            ] {
+                if count > budget {
+                    failures.push(format!(
+                        "{path}: {count} {kind} in non-test code exceeds budget {budget} \
+                         (xtask/lint-allow-swallow.txt; handle or propagate the error — \
+                         budgets only shrink)"
+                    ));
+                } else if count < budget {
+                    println!(
+                        "xtask lint: note: {path} is under its budget for {kind} \
+                         ({count} < {budget}); lower it in xtask/lint-allow-swallow.txt to \
+                         lock in the progress"
+                    );
+                }
             }
         }
     }
